@@ -191,39 +191,47 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
     return t;
 }
 
-PackedM2xfpTensor
-PackedM2xfpTensor::packWeights(const Matrix &m, const SgEmQuantizer &q)
+void
+PackedM2xfpTensor::checkPaperWeightQuantizer(const SgEmQuantizer &q)
 {
     const SgEmConfig &cfg = q.config();
     m2x_assert(cfg.groupSize == groupSize &&
                cfg.subgroupSize == subgroupSize && cfg.metaBits == 2 &&
                !cfg.extraExponent,
                "packed layout requires the paper config (g32/sg8 2b)");
+}
 
+void
+PackedM2xfpTensor::packWeightRow(const SgEmQuantizer &q, size_t r,
+                                 std::span<const float> row)
+{
+    float padded[groupSize];
+    for (size_t g_idx = 0; g_idx < groupsPerRow_; ++g_idx) {
+        size_t base = g_idx * groupSize;
+        size_t len = std::min<size_t>(groupSize, cols_ - base);
+        std::fill(padded, padded + groupSize, 0.0f);
+        std::copy(row.begin() + base, row.begin() + base + len, padded);
+        SgEmGroup g = q.encodeGroup(padded);
+        size_t slot = r * groupsPerRow_ + g_idx;
+        scales_[slot] = g.scale.code();
+        uint8_t mb = 0;
+        for (size_t s = 0; s < g.sgMeta.size() && s < 4; ++s)
+            mb = static_cast<uint8_t>(mb |
+                ((g.sgMeta[s] & 0x3u) << (2 * s)));
+        meta_[slot] = mb;
+        for (size_t i = 0; i < groupSize; ++i)
+            setElementCode(r, base + i, g.fp4Codes[i]);
+    }
+}
+
+PackedM2xfpTensor
+PackedM2xfpTensor::packWeights(const Matrix &m, const SgEmQuantizer &q)
+{
+    checkPaperWeightQuantizer(q);
     PackedM2xfpTensor t;
     t.reserveShape(m.rows(), m.cols());
-    std::vector<float> padded(groupSize);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        std::span<const float> row = m.row(r);
-        for (size_t g_idx = 0; g_idx < t.groupsPerRow_; ++g_idx) {
-            size_t base = g_idx * groupSize;
-            size_t len = std::min<size_t>(groupSize,
-                                          m.cols() - base);
-            std::fill(padded.begin(), padded.end(), 0.0f);
-            std::copy(row.begin() + base, row.begin() + base + len,
-                      padded.begin());
-            SgEmGroup g = q.encodeGroup(padded);
-            size_t slot = r * t.groupsPerRow_ + g_idx;
-            t.scales_[slot] = g.scale.code();
-            uint8_t mb = 0;
-            for (size_t s = 0; s < g.sgMeta.size() && s < 4; ++s)
-                mb = static_cast<uint8_t>(mb |
-                    ((g.sgMeta[s] & 0x3u) << (2 * s)));
-            t.meta_[slot] = mb;
-            for (size_t i = 0; i < groupSize; ++i)
-                t.setElementCode(r, base + i, g.fp4Codes[i]);
-        }
-    }
+    for (size_t r = 0; r < m.rows(); ++r)
+        t.packWeightRow(q, r, m.row(r));
     return t;
 }
 

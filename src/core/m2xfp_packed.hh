@@ -18,6 +18,7 @@
 #define M2X_CORE_M2XFP_PACKED_HH__
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/elem_em.hh"
@@ -62,7 +63,8 @@ class PackedM2xfpTensor
      * Fast-path online packing: byte-identical streams to
      * packActivations(m, q), produced by the runtime encoder
      * (src/runtime/packed_quantize) — per-ISA SIMD kernels,
-     * parallelized over rows on @p pool (null = the global pool).
+     * parallelized over rows on @p pool (null = the global pool)
+     * unless the whole encode is a few microseconds of work.
      * Requires the fixed-shared-scale paper activation config
      * (adaptiveScale off — asserted). The into-variant reuses
      * @p out's stream storage across calls, so a steady-state
@@ -92,8 +94,8 @@ class PackedM2xfpTensor
      * fast-path packActivations (asserted). Multi-row appends
      * (prefill chunks) distribute the row encodes over @p pool
      * (null = the global pool) exactly like packActivations;
-     * single-row appends skip the pool. appendActivationRows is
-     * defined in the m2x_runtime library.
+     * single-row and few-microsecond appends skip the pool.
+     * appendActivationRows is defined in the m2x_runtime library.
      */
     static PackedM2xfpTensor emptyActivations(size_t cols,
                                               const ElemEmQuantizer &q);
@@ -118,6 +120,21 @@ class PackedM2xfpTensor
     /** Pack a row-major matrix as weights (Sg-EM-2bit adaptive). */
     static PackedM2xfpTensor packWeights(const Matrix &m,
                                          const SgEmQuantizer &q);
+
+    /** @{
+     * Row-parallel weight packing: byte-identical to packWeights /
+     * packWeightsCodec (every row runs the same functional row
+     * encoder), with the rows distributed over @p pool (null = the
+     * global pool). Rows are independent, so this only cuts
+     * construction time. Defined in the m2x_runtime library.
+     */
+    static PackedM2xfpTensor packWeights(const Matrix &m,
+                                         const SgEmQuantizer &q,
+                                         runtime::ThreadPool *pool);
+    static PackedM2xfpTensor packWeightsCodec(const Matrix &m,
+                                              PackedCodec codec,
+                                              runtime::ThreadPool *pool);
+    /** @} */
 
     /** @{
      * Codec-generic functional packers/unpackers: the scalar
@@ -255,6 +272,14 @@ class PackedM2xfpTensor
 
     void setElementCode(size_t r, size_t c, uint8_t code);
     void reserveShape(size_t rows, size_t cols);
+
+    /** @{ packWeights' config check and row encoder: row @p r of a
+     *  reserveShape'd tensor from its @p row floats. Rows touch
+     *  disjoint stream bytes, so rows may be encoded concurrently. */
+    static void checkPaperWeightQuantizer(const SgEmQuantizer &q);
+    void packWeightRow(const SgEmQuantizer &q, size_t r,
+                       std::span<const float> row);
+    /** @} */
 
     /**
      * Reshape for the fast-path packer, reusing existing stream

@@ -1,6 +1,7 @@
 #include "model/transformer.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "model/softmax.hh"
 #include "model/tensor_gen.hh"
@@ -163,15 +164,19 @@ applyRope(Matrix &x, unsigned n_heads,
     size_t t_len = x.rows();
     size_t d = x.cols();
     size_t hd = d / n_heads;
+    // The per-pair frequency denominator depends only on the pair,
+    // so it is computed once per call (same expression, same bits).
+    thread_local std::vector<double> denom;
+    denom.resize(hd / 2);
+    for (size_t i = 0; i + 1 < hd; i += 2)
+        denom[i / 2] = std::pow(10000.0, static_cast<double>(i) /
+                                             static_cast<double>(hd));
     for (size_t t = 0; t < t_len; ++t) {
+        double pos = static_cast<double>(positions[t]);
         for (unsigned h = 0; h < n_heads; ++h) {
             float *base = x.data() + t * d + h * hd;
             for (size_t i = 0; i + 1 < hd; i += 2) {
-                double theta =
-                    static_cast<double>(positions[t]) /
-                    std::pow(10000.0,
-                             static_cast<double>(i) /
-                                 static_cast<double>(hd));
+                double theta = pos / denom[i / 2];
                 float c = static_cast<float>(std::cos(theta));
                 float s = static_cast<float>(std::sin(theta));
                 float a = base[i], b = base[i + 1];

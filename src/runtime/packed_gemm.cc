@@ -77,6 +77,7 @@ gemmKernels(SimdIsa isa)
     // slices stay L1-resident for the register-tile sweep.
     static const GemmKernels scalar{&decodeActivationRow,
                                     &decodeWeightRow,
+                                    &decodeWeightTileScalar,
                                     &microKernelScalar,
                                     &computeTileScalar,
                                     {16, 16, 64, 256, 64},
@@ -84,6 +85,7 @@ gemmKernels(SimdIsa isa)
 #ifdef M2X_HAVE_AVX2
     static const GemmKernels avx2{&decodeActivationRowAvx2,
                                   &decodeWeightRowAvx2,
+                                  &decodeWeightTileAvx2,
                                   &microKernelAvx2,
                                   &computeTileAvx2,
                                   {4, 8, 128, 256, 128},
@@ -97,6 +99,7 @@ gemmKernels(SimdIsa isa)
     // path stays runnable under every dispatchable ISA.
     static const GemmKernels avx512{&decodeActivationRowAvx2,
                                     &decodeWeightRowAvx512,
+                                    &decodeWeightTileAvx512,
                                     &microKernelAvx512,
                                     &computeTileAvx2,
                                     {8, 16, 128, 256, 128},
@@ -116,6 +119,26 @@ normalizeBlocking(SimdIsa isa, size_t mc, size_t kc, size_t nc)
     b.kc = ceilDiv(std::max<size_t>(kc, 1), groupSize) * groupSize;
     b.nc = ceilDiv(std::max<size_t>(nc, 1), b.nr) * b.nr;
     return b;
+}
+
+void
+decodeWeightTileGeneric(DecodeGroupFn decode, size_t nr,
+                        const PackedM2xfpTensor &w, size_t j0,
+                        size_t jlim, size_t g0, size_t g1, double *tile)
+{
+    size_t gs = w.codecInfo().groupSize;
+    float buf[groupSize];
+    for (size_t lane = 0; lane < jlim; ++lane) {
+        for (size_t g = g0; g < g1; ++g) {
+            decode(w, j0 + lane, g, buf);
+            double *t = tile + (g - g0) * gs * nr + lane;
+            for (size_t q = 0; q < gs; ++q)
+                t[q * nr] = buf[q];
+        }
+    }
+    for (size_t p = 0; p < (g1 - g0) * gs; ++p)
+        for (size_t lane = jlim; lane < nr; ++lane)
+            tile[p * nr + lane] = 0.0;
 }
 
 GemmBlocking
@@ -154,11 +177,12 @@ packedGemmGrain(size_t n_ic, size_t n_jc, size_t lanes)
     return std::clamp<size_t>(target, 1, n_ic);
 }
 
+namespace {
+
+/** Operand and tier checks shared by both blocked drivers. */
 void
-packedMatmulNtBlocked(const PackedM2xfpTensor &a,
-                      const PackedM2xfpTensor &w, Matrix &c,
-                      ThreadPool *pool, SimdIsa isa,
-                      const GemmBlocking &blocking)
+checkOperands(const PackedM2xfpTensor &a, const PackedM2xfpTensor &w,
+              SimdIsa isa, const GemmBlocking &blocking)
 {
     m2x_assert(a.cols() == w.cols(),
                "packedMatmulNt K mismatch: %zu vs %zu", a.cols(),
@@ -169,6 +193,170 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
     m2x_assert(simdIsaAvailable(isa),
                "packedMatmulNt: ISA tier '%s' is not available on "
                "this machine", simdIsaName(isa));
+    // kc stays a multiple of the paper group (32) for every codec —
+    // also a multiple of the g16 M2-NVFP4 decode group.
+    m2x_assert(blocking.mc % blocking.mr == 0 &&
+                   blocking.nc % blocking.nr == 0 &&
+                   blocking.kc % groupSize == 0,
+               "packedMatmulNtBlocked: blocking %zux%zux%zu not "
+               "normalized for mr=%zu nr=%zu", blocking.mc,
+               blocking.kc, blocking.nc, blocking.mr, blocking.nr);
+}
+
+/** @{
+ * Per-thread scratch for the decoded A block and one decoded row,
+ * shared by both drivers: a thread runs one driver at a time, and
+ * the sliver driver's caller only reads its block while the job it
+ * posted runs.
+ */
+std::vector<double> &
+aBlockScratch()
+{
+    thread_local std::vector<double> v;
+    return v;
+}
+
+std::vector<float> &
+rowScratch()
+{
+    thread_local std::vector<float> v;
+    return v;
+}
+/** @} */
+
+/**
+ * Decode rows [i0, i0 + rows) of @p a into row-major doubles of
+ * width @p padded_k, the depth pad [k, padded_k) zeroed.
+ */
+void
+decodeABlock(DecodeRowFn decode, const PackedM2xfpTensor &a, size_t i0,
+             size_t rows, size_t k, size_t padded_k, float *rowbuf,
+             double *out)
+{
+    for (size_t ii = 0; ii < rows; ++ii) {
+        decode(a, i0 + ii, rowbuf);
+        double *ar = out + ii * padded_k;
+        for (size_t p = 0; p < k; ++p)
+            ar[p] = rowbuf[p];
+        for (size_t p = k; p < padded_k; ++p)
+            ar[p] = 0.0;
+    }
+}
+
+} // anonymous namespace
+
+void
+packedMatmulNtBlocked(const PackedM2xfpTensor &a,
+                      const PackedM2xfpTensor &w, Matrix &c,
+                      ThreadPool *pool, SimdIsa isa,
+                      const GemmBlocking &blocking)
+{
+    // One A block means no decoded panel would be reused across
+    // blocks: spread NR slivers over every lane instead of NC panels
+    // over a few.
+    if (a.rows() <= blocking.mc)
+        packedMatmulNtSlivers(a, w, c, pool, isa, blocking);
+    else
+        packedMatmulNtPanels(a, w, c, pool, isa, blocking);
+}
+
+void
+packedMatmulNtSlivers(const PackedM2xfpTensor &a,
+                      const PackedM2xfpTensor &w, Matrix &c,
+                      ThreadPool *pool, SimdIsa isa,
+                      const GemmBlocking &blocking)
+{
+    checkOperands(a, w, isa, blocking);
+    size_t m = a.rows(), n = w.rows(), k = a.cols();
+    c.resize(m, n);
+    if (m == 0 || n == 0)
+        return;
+
+    const detail::GemmKernels &kern = detail::gemmKernels(isa);
+    bool elem_em = a.codec() == PackedCodec::ElemEm;
+    detail::DecodeRowFn decode_act =
+        elem_em ? kern.decodeActivationRow : &codecDecodeActivationRow;
+    const size_t mr = blocking.mr, nr = blocking.nr;
+    const size_t kc = blocking.kc;
+    size_t gs = a.codecInfo().groupSize;
+    m2x_assert(gs <= groupSize && kc % gs == 0,
+               "packedMatmulNtSlivers: group size %zu unsupported", gs);
+    size_t padded_k = a.groupsPerRow() * gs;
+    size_t p_end = kern.accumulatePadding ? padded_k : k;
+    size_t n_slivers = ceilDiv(n, nr);
+
+    // One contiguous run of slivers per lane: neighbouring lanes then
+    // share output cache lines only at their run boundaries.
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    size_t grain = ceilDiv(n_slivers, tp.size());
+    telemetry::TraceSpan span("gemm.packed");
+    if (span.active()) {
+        span.arg("m", m);
+        span.arg("n", n);
+        span.arg("k", k);
+        span.arg("isa", simdIsaName(isa));
+        span.arg("mc", blocking.mc);
+        span.arg("kc", kc);
+        span.arg("nc", blocking.nc);
+        span.arg("tasks", n_slivers);
+        span.arg("grain", grain);
+        span.arg("driver", "slivers");
+    }
+
+    // A is decoded once per call on the calling thread and shared
+    // read-only by every lane.
+    std::vector<double> &ablock_store = aBlockScratch();
+    std::vector<float> &rowbuf_store = rowScratch();
+    ablock_store.resize(m * padded_k);
+    rowbuf_store.resize(padded_k);
+    const double *ab = ablock_store.data();
+    decodeABlock(decode_act, a, 0, m, k, padded_k, rowbuf_store.data(),
+                 ablock_store.data());
+
+    tp.parallelFor(0, n_slivers, grain, [&](size_t s0, size_t s1) {
+        thread_local std::vector<double> tile_store;
+        thread_local std::vector<double> acc_store;
+        tile_store.resize(std::min(kc, padded_k) * nr);
+        double *tile = tile_store.data();
+        for (size_t sv = s0; sv < s1; ++sv) {
+            size_t j0 = sv * nr;
+            size_t jlim = std::min(nr, n - j0);
+            acc_store.assign(m * nr, 0.0);
+            double *acc = acc_store.data();
+            for (size_t p0 = 0; p0 < p_end; p0 += kc) {
+                size_t p1 = std::min(p0 + kc, p_end);
+                size_t g0 = p0 / gs, g1 = ceilDiv(p1, gs);
+                if (elem_em)
+                    kern.decodeWeightTile(w, j0, jlim, g0, g1, tile);
+                else
+                    decodeWeightTileGeneric(&codecDecodeWeightGroup,
+                                            nr, w, j0, jlim, g0, g1,
+                                            tile);
+                // The depth pad the vector tiers sweep holds zeros,
+                // as in the panel driver's slivers.
+                for (size_t p = std::max(p0, k); p < p1; ++p)
+                    std::fill_n(tile + (p - p0) * nr, nr, 0.0);
+                for (size_t ir = 0; ir < m; ir += mr)
+                    kern.microKernel(ab + ir * padded_k + p0, padded_k,
+                                     tile, nr, 0, p1 - p0,
+                                     std::min(mr, m - ir),
+                                     acc + ir * nr, nr);
+            }
+            for (size_t ii = 0; ii < m; ++ii)
+                for (size_t jj = 0; jj < jlim; ++jj)
+                    c(ii, j0 + jj) =
+                        static_cast<float>(acc[ii * nr + jj]);
+        }
+    });
+}
+
+void
+packedMatmulNtPanels(const PackedM2xfpTensor &a,
+                     const PackedM2xfpTensor &w, Matrix &c,
+                     ThreadPool *pool, SimdIsa isa,
+                     const GemmBlocking &blocking)
+{
+    checkOperands(a, w, isa, blocking);
     size_t m = a.rows(), n = w.rows(), k = a.cols();
     // Resize in place: a caller-provided output buffer of the right
     // capacity is reused, not reallocated. Every element of the
@@ -191,11 +379,6 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
     const size_t mr = blocking.mr, nr = blocking.nr;
     const size_t mc = blocking.mc, kc = blocking.kc;
     const size_t nc = blocking.nc;
-    // kc stays a multiple of the paper group (32) for every codec —
-    // also a multiple of the g16 M2-NVFP4 decode group.
-    m2x_assert(mc % mr == 0 && nc % nr == 0 && kc % groupSize == 0,
-               "packedMatmulNtBlocked: blocking %zux%zux%zu not "
-               "normalized for mr=%zu nr=%zu", mc, kc, nc, mr, nr);
     size_t padded_k = a.groupsPerRow() * a.codecInfo().groupSize;
     // The scalar oracle keeps each output a single ascending-k
     // summation chain over the true depth; vector tiers sweep the
@@ -225,14 +408,15 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
         span.arg("nc", nc);
         span.arg("tasks", n_tasks);
         span.arg("grain", grain);
+        span.arg("driver", "panels");
     }
     tp.parallelFor(
         0, n_tasks, grain,
         [&](size_t t0, size_t t1) {
             thread_local std::vector<double> panel_store;
-            thread_local std::vector<double> ablock_store;
             thread_local std::vector<double> acc_store;
-            thread_local std::vector<float> rowbuf_store;
+            std::vector<double> &ablock_store = aBlockScratch();
+            std::vector<float> &rowbuf_store = rowScratch();
             thread_local uint64_t cached_call = 0;
             thread_local size_t cached_jc = SIZE_MAX;
             rowbuf_store.resize(padded_k);
@@ -277,14 +461,8 @@ packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                 size_t mc_cur = std::min(mc, m - i0);
                 ablock_store.resize(mc_cur * padded_k);
                 double *ab = ablock_store.data();
-                for (size_t ii = 0; ii < mc_cur; ++ii) {
-                    decode_act(a, i0 + ii, rowbuf);
-                    double *ar = ab + ii * padded_k;
-                    for (size_t p = 0; p < k; ++p)
-                        ar[p] = rowbuf[p];
-                    for (size_t p = k; p < padded_k; ++p)
-                        ar[p] = 0.0;
-                }
+                decodeABlock(decode_act, a, i0, mc_cur, k, padded_k,
+                             rowbuf, ab);
 
                 // The block's persistent accumulator: KC slicing
                 // adds into it across depth slices, so no summation

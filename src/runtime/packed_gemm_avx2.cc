@@ -124,6 +124,36 @@ widenToDouble(const float *src, double *dst, size_t n)
                          _mm256_cvtps_pd(_mm_loadu_ps(src + p)));
 }
 
+/**
+ * In-register transpose of an 8x8 float block: on return r[c] holds
+ * column c (element i = old r[i][c]).
+ */
+inline void
+transpose8x8(__m256 r[8])
+{
+    __m256 t[8], u[8];
+    for (int i = 0; i < 4; ++i) {
+        t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // u[4h + c], 128-bit lane L: rows 4h..4h+3 of column 4L + c.
+    for (int h = 0; h < 2; ++h) {
+        __m256 lo01 = t[4 * h], hi01 = t[4 * h + 1];
+        __m256 lo23 = t[4 * h + 2], hi23 = t[4 * h + 3];
+        u[4 * h] = _mm256_shuffle_ps(lo01, lo23, _MM_SHUFFLE(1, 0, 1, 0));
+        u[4 * h + 1] =
+            _mm256_shuffle_ps(lo01, lo23, _MM_SHUFFLE(3, 2, 3, 2));
+        u[4 * h + 2] =
+            _mm256_shuffle_ps(hi01, hi23, _MM_SHUFFLE(1, 0, 1, 0));
+        u[4 * h + 3] =
+            _mm256_shuffle_ps(hi01, hi23, _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int c = 0; c < 4; ++c) {
+        r[c] = _mm256_permute2f128_ps(u[c], u[4 + c], 0x20);
+        r[4 + c] = _mm256_permute2f128_ps(u[c], u[4 + c], 0x31);
+    }
+}
+
 } // anonymous namespace
 
 void
@@ -212,6 +242,37 @@ decodeWeightRowAvx2(const PackedM2xfpTensor &t, size_t row,
 {
     for (size_t g = 0; g < t.groupsPerRow(); ++g)
         decodeWeightGroupAvx2(t, row, g, out + g * groupSize);
+}
+
+void
+decodeWeightTileAvx2(const PackedM2xfpTensor &w, size_t j0, size_t jlim,
+                     size_t g0, size_t g1, double *tile)
+{
+    // One group of the sliver's 8 rows at a time: decode row-major
+    // into an L1 staging block, transpose each 8-column block in
+    // registers, and widen the columns straight into the tile.
+    alignas(32) float rows[8][groupSize];
+    for (size_t lane = jlim; lane < 8; ++lane)
+        std::fill_n(rows[lane], groupSize, 0.0f);
+    for (size_t g = g0; g < g1; ++g) {
+        for (size_t lane = 0; lane < jlim; ++lane)
+            decodeWeightGroupAvx2(w, j0 + lane, g, rows[lane]);
+        double *out = tile + (g - g0) * groupSize * 8;
+        for (size_t blk = 0; blk < groupSize / 8; ++blk) {
+            __m256 r[8];
+            for (int i = 0; i < 8; ++i)
+                r[i] = _mm256_load_ps(rows[i] + 8 * blk);
+            transpose8x8(r);
+            for (int c = 0; c < 8; ++c) {
+                double *dst = out + (8 * blk + c) * 8;
+                _mm256_storeu_pd(dst, _mm256_cvtps_pd(
+                                          _mm256_castps256_ps128(r[c])));
+                _mm256_storeu_pd(dst + 4,
+                                 _mm256_cvtps_pd(
+                                     _mm256_extractf128_ps(r[c], 1)));
+            }
+        }
+    }
 }
 
 void

@@ -20,10 +20,12 @@
  * Accumulate: per depth step the k-major sliver contributes two
  * 8-wide W vectors and each of the 8 A rows one broadcast — 16
  * independent FMA chains across 19 live zmm registers, deep enough
- * to cover the FMA latency at two issues per cycle. Lane partials
- * persist in the block accumulator across KC slices; the summation
- * order differs from the scalar oracle, so parity is
- * tolerance-checked, never assumed bit-exact.
+ * to cover the FMA latency at two issues per cycle; ragged row
+ * counts run 4-row (8-chain) then 1-row sweeps. Each output is one
+ * FMA chain in one lane, persisted in the block accumulator across
+ * KC slices, so every row split gives the same bits; FMA rounding
+ * differs from the scalar oracle's multiply-add, so parity with it
+ * is tolerance-checked, never assumed bit-exact.
  *
  * This translation unit is compiled with -mavx2 -mfma -mavx512f
  * -mavx512bw and must only be entered through the runtime dispatch
@@ -31,6 +33,8 @@
  */
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "runtime/decode_lut.hh"
 #include "runtime/packed_gemm_kernels.hh"
@@ -85,6 +89,44 @@ splitNibbles(const uint8_t *bytes, __m128i chunk[2])
     chunk[1] = _mm_unpackhi_epi8(lo, hi); // codes 16..31
 }
 
+/**
+ * In-register transpose of a 16x16 float block: on return r[c] holds
+ * column c (element i = old r[i][c]). Three shuffle stages — 32-bit
+ * pairs, 64-bit pairs, then 128-bit lanes — 64 shuffles in all.
+ */
+inline void
+transpose16x16(__m512 r[16])
+{
+    __m512 t[16];
+    for (int i = 0; i < 8; ++i) {
+        t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    // r[4i + c], 128-bit lane L: rows 4i..4i+3 of column 4L + c.
+    for (int i = 0; i < 4; ++i) {
+        __m512d x0 = _mm512_castps_pd(t[4 * i]);
+        __m512d x1 = _mm512_castps_pd(t[4 * i + 1]);
+        __m512d y0 = _mm512_castps_pd(t[4 * i + 2]);
+        __m512d y1 = _mm512_castps_pd(t[4 * i + 3]);
+        r[4 * i] = _mm512_castpd_ps(_mm512_unpacklo_pd(x0, y0));
+        r[4 * i + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(x0, y0));
+        r[4 * i + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(x1, y1));
+        r[4 * i + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(x1, y1));
+    }
+    for (int c = 0; c < 4; ++c) {
+        __m512 a = _mm512_shuffle_f32x4(r[c], r[4 + c], 0x88);
+        __m512 b = _mm512_shuffle_f32x4(r[c], r[4 + c], 0xdd);
+        __m512 e = _mm512_shuffle_f32x4(r[8 + c], r[12 + c], 0x88);
+        __m512 f = _mm512_shuffle_f32x4(r[8 + c], r[12 + c], 0xdd);
+        t[c] = _mm512_shuffle_f32x4(a, e, 0x88);
+        t[8 + c] = _mm512_shuffle_f32x4(a, e, 0xdd);
+        t[4 + c] = _mm512_shuffle_f32x4(b, f, 0x88);
+        t[12 + c] = _mm512_shuffle_f32x4(b, f, 0xdd);
+    }
+    for (int c = 0; c < 16; ++c)
+        r[c] = t[c];
+}
+
 } // anonymous namespace
 
 void
@@ -122,6 +164,39 @@ decodeWeightRowAvx512(const PackedM2xfpTensor &t, size_t row,
 {
     for (size_t g = 0; g < t.groupsPerRow(); ++g)
         decodeWeightGroupAvx512(t, row, g, out + g * groupSize);
+}
+
+void
+decodeWeightTileAvx512(const PackedM2xfpTensor &w, size_t j0, size_t jlim,
+                       size_t g0, size_t g1, double *tile)
+{
+    // One group of the sliver's 16 rows at a time: decode row-major
+    // into an L1 staging block, transpose each 16-column half in
+    // registers, and widen the columns straight into the tile.
+    alignas(64) float rows[16][groupSize];
+    for (size_t lane = jlim; lane < 16; ++lane)
+        std::fill_n(rows[lane], groupSize, 0.0f);
+    for (size_t g = g0; g < g1; ++g) {
+        for (size_t lane = 0; lane < jlim; ++lane)
+            decodeWeightGroupAvx512(w, j0 + lane, g, rows[lane]);
+        double *out = tile + (g - g0) * groupSize * 16;
+        for (size_t half = 0; half < 2; ++half) {
+            __m512 r[16];
+            for (int i = 0; i < 16; ++i)
+                r[i] = _mm512_load_ps(rows[i] + 16 * half);
+            transpose16x16(r);
+            for (int c = 0; c < 16; ++c) {
+                double *dst = out + (16 * half + c) * 16;
+                _mm512_storeu_pd(dst, _mm512_cvtps_pd(
+                                          _mm512_castps512_ps256(r[c])));
+                _mm512_storeu_pd(
+                    dst + 8,
+                    _mm512_cvtps_pd(_mm256_castpd_ps(
+                        _mm512_extractf64x4_pd(_mm512_castps_pd(r[c]),
+                                               1))));
+            }
+        }
+    }
 }
 
 void
@@ -185,8 +260,51 @@ microKernelAvx512(const double *a, size_t a_stride, const double *ws,
         }
         return;
     }
-    // Ragged edge (mr_cur < 8): per-row two-accumulator sweep.
-    for (size_t ii = 0; ii < mr_cur; ++ii) {
+    // Ragged edge (mr_cur < 8), the decode-step shape: four rows at
+    // a time (8 independent chains, enough to cover the FMA latency),
+    // then the rest one row at a time. Every output keeps its own
+    // lane, so the bits match the 8-row tile.
+    size_t ii = 0;
+    for (; ii + 4 <= mr_cur; ii += 4) {
+        double *r0 = acc + ii * acc_stride;
+        double *r1 = r0 + acc_stride;
+        double *r2 = r1 + acc_stride;
+        double *r3 = r2 + acc_stride;
+        const double *a0 = a + ii * a_stride;
+        const double *a1 = a0 + a_stride;
+        const double *a2 = a1 + a_stride;
+        const double *a3 = a2 + a_stride;
+        __m512d c0l = _mm512_loadu_pd(r0), c0h = _mm512_loadu_pd(r0 + 8);
+        __m512d c1l = _mm512_loadu_pd(r1), c1h = _mm512_loadu_pd(r1 + 8);
+        __m512d c2l = _mm512_loadu_pd(r2), c2h = _mm512_loadu_pd(r2 + 8);
+        __m512d c3l = _mm512_loadu_pd(r3), c3h = _mm512_loadu_pd(r3 + 8);
+        for (size_t p = p0; p < p1; ++p) {
+            const double *wp = ws + p * 16;
+            __m512d wl = _mm512_loadu_pd(wp);
+            __m512d wh = _mm512_loadu_pd(wp + 8);
+            __m512d av = _mm512_set1_pd(a0[p]);
+            c0l = _mm512_fmadd_pd(av, wl, c0l);
+            c0h = _mm512_fmadd_pd(av, wh, c0h);
+            av = _mm512_set1_pd(a1[p]);
+            c1l = _mm512_fmadd_pd(av, wl, c1l);
+            c1h = _mm512_fmadd_pd(av, wh, c1h);
+            av = _mm512_set1_pd(a2[p]);
+            c2l = _mm512_fmadd_pd(av, wl, c2l);
+            c2h = _mm512_fmadd_pd(av, wh, c2h);
+            av = _mm512_set1_pd(a3[p]);
+            c3l = _mm512_fmadd_pd(av, wl, c3l);
+            c3h = _mm512_fmadd_pd(av, wh, c3h);
+        }
+        _mm512_storeu_pd(r0, c0l);
+        _mm512_storeu_pd(r0 + 8, c0h);
+        _mm512_storeu_pd(r1, c1l);
+        _mm512_storeu_pd(r1 + 8, c1h);
+        _mm512_storeu_pd(r2, c2l);
+        _mm512_storeu_pd(r2 + 8, c2h);
+        _mm512_storeu_pd(r3, c3l);
+        _mm512_storeu_pd(r3 + 8, c3h);
+    }
+    for (; ii < mr_cur; ++ii) {
         double *r = acc + ii * acc_stride;
         const double *ar = a + ii * a_stride;
         __m512d cl = _mm512_loadu_pd(r);

@@ -2,8 +2,8 @@
  * @file
  * Internal per-ISA kernel table for the packed GEMM.
  *
- * Since the panel rework, packedMatmulNt is a cache-blocked GEMM
- * with an explicit block hierarchy chosen per ISA:
+ * packedMatmulNt is a cache-blocked GEMM with an explicit block
+ * hierarchy chosen per ISA, and two drivers over it:
  *
  *   NC  columns of W form a *panel*: each panel's M2XFP groups are
  *       LUT-decoded exactly once per worker thread into an
@@ -20,16 +20,33 @@
  *       call, accumulating into a persistent double accumulator so
  *       KC slicing never splits a summation chain.
  *
+ * Single-block rule: a call whose A fits one block (M <= MC, so no
+ * panel would be reused across blocks — every decode step) takes the
+ * *sliver* driver instead. It decodes A once per call, splits N into
+ * NR-wide slivers spread over all lanes, and decodes each sliver's
+ * weights just in time, one KC depth slice at a time, into an
+ * L1-resident NR x KC tile that the same microkernel consumes; no
+ * panel is kept per thread. Multi-block calls (prefills) keep the
+ * panel driver.
+ *
+ * Bit-identity contract: every tier's microkernel computes each
+ * output as one ascending-k chain (one accumulator lane per output,
+ * resumed across calls), whatever MR rows a call covers or where a
+ * depth range starts. Both drivers feed it the same decoded values
+ * in the same order, so they agree bit for bit on every tier, a row
+ * of the product never depends on the other rows of A, and crossing
+ * the single-block bound cannot change an output.
+ *
  * packedMatmulNt owns the block grid, the thread distribution and
- * the per-thread panel cache; everything below — per-row LUT decode
- * into the panels and the register-tile accumulation — is an
+ * the per-thread panel cache; everything below — per-row or
+ * per-group LUT decode and the register-tile accumulation — is an
  * ISA-specific kernel selected through gemmKernels(). The scalar
  * tier accumulates each output in ascending-k order, excluding the
  * zero pad, and is bit-exact against matmulNt(unpack, unpack);
- * vector tiers may reassociate the sum and sweep the zero-padded
- * tail (verified to tight tolerance by tests/runtime/simd_test.cc).
- * All tiers decode identical values: the vector LUT decodes are
- * bit-identical to runtime/decode_lut.
+ * vector tiers use FMA and sweep the zero-padded tail (verified to
+ * tight tolerance against the scalar tier by
+ * tests/runtime/simd_test.cc). All tiers decode identical values:
+ * the vector LUT decodes are bit-identical to runtime/decode_lut.
  *
  * The PR3 tile-at-a-time driver is kept as
  * detail::packedMatmulNtTiled — the committed-trajectory baseline
@@ -78,11 +95,13 @@ struct GemmBlocking
  *       sum_{p in [p0,p1)} a[ii*a_stride + p] * ws[p*nr + jj]
  *
  * for ii in [0, mr_cur), jj in [0, nr). @p a is the decoded A block
- * (row-major doubles), @p ws one k-major NR-wide W sliver (zero
- * padded to full nr width and past the true depth). The scalar tier
- * adds every product directly into acc in ascending-p order, so KC
- * slicing keeps each output a single ascending chain; vector tiers
- * reduce lane partials into acc at the end of the range.
+ * (row-major doubles), @p ws one k-major NR-wide W sliver or sliver
+ * tile (zero padded to full nr width and past the true depth). Every
+ * tier adds the products of one output into its own accumulator in
+ * ascending-p order — the scalar tier with a multiply and an add,
+ * vector tiers with one FMA lane per output — so depth slicing, the
+ * row count of a call and the offset of @p a / @p ws never change an
+ * output's bits.
  */
 using MicroKernelFn = void (*)(const double *a, size_t a_stride,
                                const double *ws, size_t nr,
@@ -92,6 +111,31 @@ using MicroKernelFn = void (*)(const double *a, size_t a_stride,
 /** Decode one tensor row into a group-padded float buffer. */
 using DecodeRowFn = void (*)(const PackedM2xfpTensor &t, size_t row,
                              float *out);
+
+/** Decode one group of one tensor row (groupSize floats). */
+using DecodeGroupFn = void (*)(const PackedM2xfpTensor &t, size_t row,
+                               size_t group, float *out);
+
+/**
+ * The sliver driver's just-in-time weight decode: W rows
+ * [j0, j0 + jlim) over groups [g0, g1) into a k-major tile of the
+ * tier's NR-wide double sliver, tile[(p - g0 * gs) * nr + lane],
+ * with lanes [jlim, nr) zero-filled. Values are the tier's row
+ * decode, widened exactly — the same doubles the panel driver packs.
+ */
+using DecodeTileFn = void (*)(const PackedM2xfpTensor &w, size_t j0,
+                              size_t jlim, size_t g0, size_t g1,
+                              double *tile);
+
+/**
+ * DecodeTileFn over any group decoder and sliver width: one group
+ * decode per (row, group), scattered into the tile. The scalar
+ * tier's tile kernel, and every non-Elem-EM codec's.
+ */
+void decodeWeightTileGeneric(DecodeGroupFn decode, size_t nr,
+                             const PackedM2xfpTensor &w, size_t j0,
+                             size_t jlim, size_t g0, size_t g1,
+                             double *tile);
 
 /**
  * Legacy PR3 tile kernel: rows [i0, i0+mt) x cols [j0, j0+nt) of c,
@@ -108,6 +152,7 @@ struct GemmKernels
 {
     DecodeRowFn decodeActivationRow;
     DecodeRowFn decodeWeightRow;
+    DecodeTileFn decodeWeightTile; //!< sliver driver's W decode
     MicroKernelFn microKernel;
     TileKernelFn computeTile; //!< legacy PR3 tile kernel
     GemmBlocking blocking;    //!< per-ISA default block hierarchy
@@ -135,12 +180,31 @@ GemmBlocking gemmBlocking(SimdIsa isa);
  * The blocked GEMM with an explicit block hierarchy — the bench's
  * per-block-size sweep and the block-boundary tests use this to pin
  * mc/kc/nc regardless of the environment. @p blocking must come from
- * normalizeBlocking() (or gemmBlocking()) for the same ISA.
+ * normalizeBlocking() (or gemmBlocking()) for the same ISA. Calls
+ * with M <= blocking.mc (one A block) run packedMatmulNtSlivers,
+ * larger ones packedMatmulNtPanels; both give the same bits.
  */
 void packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                            const PackedM2xfpTensor &w, Matrix &c,
                            ThreadPool *pool, SimdIsa isa,
                            const GemmBlocking &blocking);
+
+/** @{
+ * The two drivers behind packedMatmulNtBlocked, callable at any M so
+ * the tests can hold them to each other across the single-block
+ * bound. Panels: per-thread decoded W panels reused over MC blocks of
+ * A. Slivers: A decoded once, NR-wide W slivers spread over all
+ * lanes and decoded one KC slice at a time into an L1 tile.
+ */
+void packedMatmulNtPanels(const PackedM2xfpTensor &a,
+                          const PackedM2xfpTensor &w, Matrix &c,
+                          ThreadPool *pool, SimdIsa isa,
+                          const GemmBlocking &blocking);
+void packedMatmulNtSlivers(const PackedM2xfpTensor &a,
+                           const PackedM2xfpTensor &w, Matrix &c,
+                           ThreadPool *pool, SimdIsa isa,
+                           const GemmBlocking &blocking);
+/** @} */
 
 /**
  * Clamp an arbitrary mc/kc/nc request onto @p isa's register tile:
@@ -181,6 +245,9 @@ void microKernelScalar(const double *a, size_t a_stride,
                        const double *ws, size_t nr, size_t p0,
                        size_t p1, size_t mr_cur, double *acc,
                        size_t acc_stride);
+void decodeWeightTileScalar(const PackedM2xfpTensor &w, size_t j0,
+                            size_t jlim, size_t g0, size_t g1,
+                            double *tile);
 void computeTileScalar(const PackedM2xfpTensor &w, const float *abuf,
                        size_t padded_k, size_t i0, size_t mt,
                        size_t j0, size_t nt, size_t k, Matrix &c);
@@ -200,6 +267,11 @@ void decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
                              float *out);
 void decodeWeightRowAvx2(const PackedM2xfpTensor &t, size_t row,
                          float *out);
+/** Transposing tile decode: 8 rows' groups through in-register
+ *  8x8 transposes, no scalar scatter. */
+void decodeWeightTileAvx2(const PackedM2xfpTensor &w, size_t j0,
+                          size_t jlim, size_t g0, size_t g1,
+                          double *tile);
 
 /** @{
  * Vector group decodes, bit-identical to runtime/decode_lut —
@@ -223,6 +295,11 @@ void microKernelAvx512(const double *a, size_t a_stride,
                        size_t acc_stride);
 void decodeWeightRowAvx512(const PackedM2xfpTensor &t, size_t row,
                            float *out);
+/** Transposing tile decode: 16 rows' groups through an in-register
+ *  16x16 transpose, no scalar scatter. */
+void decodeWeightTileAvx512(const PackedM2xfpTensor &w, size_t j0,
+                            size_t jlim, size_t g0, size_t g1,
+                            double *tile);
 void decodeWeightGroupAvx512(const PackedM2xfpTensor &t, size_t row,
                              size_t group, float *out);
 /** @} */

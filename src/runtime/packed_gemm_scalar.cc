@@ -42,6 +42,14 @@ microKernelScalar(const double *a, size_t a_stride, const double *ws,
 }
 
 void
+decodeWeightTileScalar(const PackedM2xfpTensor &w, size_t j0, size_t jlim,
+                       size_t g0, size_t g1, double *tile)
+{
+    decodeWeightTileGeneric(&decodeWeightGroup, 16, w, j0, jlim, g0, g1,
+                            tile);
+}
+
+void
 computeTileScalar(const PackedM2xfpTensor &w, const float *abuf,
                   size_t padded_k, size_t i0, size_t mt, size_t j0,
                   size_t nt, size_t k, Matrix &c)

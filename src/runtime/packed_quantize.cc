@@ -44,6 +44,18 @@ packedQuantizeGrain(size_t rows, size_t lanes)
 }
 
 } // namespace detail
+
+namespace {
+
+/**
+ * Largest SIMD encode (rows x cols elements) that runs inline on the
+ * calling thread: at ~2.5 ns per element (AVX-512) it is ~5 us of
+ * work, about what a pool hand-off and the lanes' cache misses cost.
+ * Covers every decode-step encode of a small batch (4 x 512).
+ */
+constexpr size_t inlineEncodeElems = 2048;
+
+} // anonymous namespace
 } // namespace runtime
 } // namespace m2x
 
@@ -86,21 +98,26 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
     // GEMM/attend — see encodeSimdIsa.
     const detail::QuantizeKernels &kern =
         detail::quantizeKernels(encodeSimdIsa(isa));
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    size_t grain = detail::packedQuantizeGrain(rows, tp.size());
     const float *src = m.data();
     size_t cols = m.cols();
     uint8_t *elems = out.elements_.data();
     uint8_t *scales = out.scales_.data();
     uint8_t *meta = out.meta_.data();
     ScaleRule rule = cfg.rule;
-    tp.parallelFor(0, rows, grain, [&](size_t r0, size_t r1) {
+    auto encode = [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r)
             kern.quantizeActivationRow(
                 src + r * cols, cols, rule,
                 elems + r * gpr * bytesPerGroupElems,
                 scales + r * gpr, meta + r * gpr);
-    });
+    };
+    if (rows * cols <= inlineEncodeElems) {
+        encode(0, rows);
+        return;
+    }
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    tp.parallelFor(0, rows, detail::packedQuantizeGrain(rows, tp.size()),
+                   encode);
 }
 
 PackedM2xfpTensor
@@ -111,6 +128,50 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
 {
     PackedM2xfpTensor t;
     packActivations(m, q, pool, isa, t);
+    return t;
+}
+
+PackedM2xfpTensor
+PackedM2xfpTensor::packWeights(const Matrix &m, const SgEmQuantizer &q,
+                               runtime::ThreadPool *pool)
+{
+    using namespace runtime;
+
+    checkPaperWeightQuantizer(q);
+    PackedM2xfpTensor t;
+    t.reserveShape(m.rows(), m.cols());
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    tp.parallelFor(0, m.rows(),
+                   detail::packedQuantizeGrain(m.rows(), tp.size()),
+                   [&](size_t r0, size_t r1) {
+                       for (size_t r = r0; r < r1; ++r)
+                           t.packWeightRow(q, r, m.row(r));
+                   });
+    return t;
+}
+
+PackedM2xfpTensor
+PackedM2xfpTensor::packWeightsCodec(const Matrix &m, PackedCodec codec,
+                                    runtime::ThreadPool *pool)
+{
+    using namespace runtime;
+
+    PackedM2xfpTensor t;
+    t.setCodec(codec);
+    t.reserveShape(m.rows(), m.cols());
+    size_t gpr = t.groupsPerRow_;
+    unsigned geb = t.groupElemBytes_;
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    tp.parallelFor(0, m.rows(),
+                   detail::packedQuantizeGrain(m.rows(), tp.size()),
+                   [&](size_t r0, size_t r1) {
+                       for (size_t r = r0; r < r1; ++r)
+                           packWeightRowCodec(
+                               codec, m.row(r).data(), m.cols(),
+                               t.elements_.data() + r * gpr * geb,
+                               t.scales_.data() + r * gpr,
+                               t.meta_.data() + r * gpr);
+                   });
     return t;
 }
 
@@ -156,10 +217,11 @@ PackedM2xfpTensor::appendActivationRows(const float *rows,
                 scales_.data() + slot, meta_.data() + slot);
         }
     };
-    if (n_rows == 1) {
-        // The decode-step shape: one row per token — pool dispatch
-        // would cost more than the encode.
-        encode(0, 1);
+    if (n_rows == 1 || n_rows * cols_ <= inlineEncodeElems) {
+        // Decode-step shapes (one row per token, or a few
+        // microseconds of rows): a pool hand-off would cost more
+        // than the encode.
+        encode(0, n_rows);
         return;
     }
     ThreadPool &tp = pool ? *pool : ThreadPool::global();

@@ -63,6 +63,27 @@ recordCallerBusy(uint64_t busy_ns)
         h->record(busy_ns);
 }
 
+/**
+ * One step of a spin-wait, @p i counting from 1. The first steps are
+ * CPU pause hints (they free issue slots for the sibling hyperthread
+ * and avoid the memory-order flush on exit); later ones yield the
+ * core, so a spinning lane costs little when other runnable threads
+ * (another process, another pool) need it.
+ */
+inline void
+spinPause(unsigned i)
+{
+    if (i > 256) {
+        std::this_thread::yield();
+        return;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
 /** Marks the current thread in-job; restores the flag on unwind. */
 struct InJobScope
 {
@@ -108,6 +129,8 @@ ThreadPool::global()
 ThreadPool::ThreadPool(unsigned n_threads)
     : nLanes_(n_threads ? n_threads : defaultThreads())
 {
+    m2x_assert(nLanes_ - 1 <= joinMask,
+               "ThreadPool: %u lanes exceed the join counter", nLanes_);
     workers_.reserve(nLanes_ - 1);
     for (unsigned i = 0; i + 1 < nLanes_; ++i)
         workers_.emplace_back([this, i] { workerLoop(i + 1); });
@@ -115,10 +138,10 @@ ThreadPool::ThreadPool(unsigned n_threads)
 
 ThreadPool::~ThreadPool()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
+    stop_.store(true);
+    // Taking the park mutex orders the flag before any parked
+    // worker's next predicate check, so the notify cannot be lost.
+    { std::lock_guard<std::mutex> lock(parkMutex_); }
     wake_.notify_all();
     for (auto &w : workers_)
         w.join();
@@ -138,9 +161,10 @@ ThreadPool::runChunks(Job &job)
         } catch (...) {
             // First thrower wins the error slot (the write is safe:
             // only the CAS winner touches it, and the caller reads
-            // it only after the drain's mutex synchronization).
-            // Parking the cursor at the end makes every lane stop
-            // handing out chunks, so the drain finishes promptly.
+            // it only after the drain synchronizes with every joined
+            // lane). Parking the cursor at the end makes every lane
+            // stop handing out chunks, so the drain finishes
+            // promptly.
             bool expected = false;
             if (job.failed.compare_exchange_strong(expected, true))
                 job.error = std::current_exception();
@@ -148,6 +172,53 @@ ThreadPool::runChunks(Job &job)
             return;
         }
     }
+}
+
+uint64_t
+ThreadPool::awaitEpoch(uint64_t seen)
+{
+    uint64_t deadline = telemetry::nowNanos() + spinNanos;
+    for (unsigned i = 1;; ++i) {
+        uint64_t s = state_.load(std::memory_order_acquire);
+        if ((s >> epochShift) != seen ||
+            stop_.load(std::memory_order_relaxed))
+            return s;
+        if (i % 16 == 0 && telemetry::nowNanos() >= deadline)
+            break;
+        spinPause(i);
+    }
+    // Park. The counter is raised before the predicate reads the
+    // epoch (both seq_cst) and the poster bumps the epoch before
+    // reading the counter, so either this check sees the new job or
+    // the poster sees a sleeper and notifies under the mutex.
+    std::unique_lock<std::mutex> lock(parkMutex_);
+    parkedWorkers_.fetch_add(1);
+    uint64_t s = 0;
+    wake_.wait(lock, [&] {
+        s = state_.load();
+        return (s >> epochShift) != seen || stop_.load();
+    });
+    parkedWorkers_.fetch_sub(1);
+    return s;
+}
+
+void
+ThreadPool::awaitJoined(unsigned joined)
+{
+    // Joined lanes are already running (they saw the job open), so
+    // this almost always ends inside the spin.
+    uint64_t deadline = telemetry::nowNanos() + spinNanos;
+    for (unsigned i = 1;; ++i) {
+        if (finished_.load(std::memory_order_acquire) == joined)
+            return;
+        if (i % 16 == 0 && telemetry::nowNanos() >= deadline)
+            break;
+        spinPause(i);
+    }
+    std::unique_lock<std::mutex> lock(parkMutex_);
+    callerParked_.store(true);
+    done_.wait(lock, [&] { return finished_.load() == joined; });
+    callerParked_.store(false);
 }
 
 void
@@ -158,17 +229,26 @@ ThreadPool::workerLoop(unsigned lane)
     uint64_t seen = 0;
     telemetry::Counter *lane_busy = nullptr;
     for (;;) {
-        Job *job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return stop_ || generation_ != seen;
-            });
-            if (stop_)
-                return;
-            seen = generation_;
-            job = job_;
+        uint64_t s = awaitEpoch(seen);
+        if (stop_.load(std::memory_order_acquire))
+            return;
+        seen = s >> epochShift;
+        // Join the job this epoch names while it is still open. A
+        // closed (or already superseded) job is skipped without
+        // touching it: its Job object may be gone with the caller's
+        // stack frame.
+        bool joined = false;
+        while ((s & openBit) && (s >> epochShift) == seen) {
+            if (state_.compare_exchange_weak(
+                    s, s + 1, std::memory_order_acquire,
+                    std::memory_order_acquire)) {
+                joined = true;
+                break;
+            }
         }
+        if (!joined)
+            continue;
+        Job &job = *job_.load(std::memory_order_relaxed);
         // Sampled once per job so the begin/end bookkeeping stays
         // paired even if metrics are toggled mid-job.
         const bool instrument = telemetry::metricsEnabled();
@@ -177,18 +257,20 @@ ThreadPool::workerLoop(unsigned lane)
             t0 = telemetry::nowNanos();
             if (auto *h = telemetry::cachedHistogram(
                     queueWaitSlot, "pool.queue_wait_ns"))
-                h->record(t0 - job->postNanos);
+                h->record(t0 - job.postNanos);
         }
         in_job = true;
-        runChunks(*job);
+        runChunks(job);
         in_job = false;
         if (instrument)
             recordLaneBusy(lane_busy, lane,
                            telemetry::nowNanos() - t0);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--pending_ == 0)
-                done_.notify_one();
+        // The last touch of the job: after this increment the
+        // caller may return and pop the frame that holds it.
+        finished_.fetch_add(1);
+        if (callerParked_.load()) {
+            std::lock_guard<std::mutex> lock(parkMutex_);
+            done_.notify_one();
         }
     }
 }
@@ -248,18 +330,23 @@ ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
                 jobsSubmittedSlot, "pool.jobs_submitted"))
             c->add();
     }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &job;
-        pending_ = static_cast<unsigned>(workers_.size());
-        ++generation_;
+    // Publish: the job pointer and the reset finish count are
+    // released by the epoch bump that opens the job.
+    job_.store(&job, std::memory_order_relaxed);
+    finished_.store(0, std::memory_order_relaxed);
+    uint64_t epoch =
+        (state_.load(std::memory_order_relaxed) >> epochShift) + 1;
+    state_.store((epoch << epochShift) | openBit);
+    if (parkedWorkers_.load() > 0) {
+        { std::lock_guard<std::mutex> lock(parkMutex_); }
+        wake_.notify_all();
     }
-    wake_.notify_all();
 
-    // The job lives on this stack frame, so every worker must finish
-    // touching it before the frame unwinds — runChunks never lets an
-    // exception escape (failures are captured in the job), hence the
-    // drain below always runs.
+    // The job lives on this stack frame. runChunks never lets an
+    // exception escape (failures are captured in the job), so the
+    // close and the drain below always run: closing stops further
+    // workers from joining, and the drain waits for exactly the
+    // lanes that did.
     {
         InJobScope scope;
         uint64_t t0 = instrument ? telemetry::nowNanos() : 0;
@@ -267,11 +354,13 @@ ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
         if (instrument)
             recordCallerBusy(telemetry::nowNanos() - t0);
     }
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] { return pending_ == 0; });
-        job_ = nullptr;
-    }
+    unsigned joined =
+        static_cast<unsigned>(state_.fetch_and(~openBit) & joinMask);
+    if (joined)
+        awaitJoined(joined);
+    job_.store(nullptr, std::memory_order_relaxed);
+    if (span.active())
+        span.arg("joined", joined);
     if (instrument)
         if (auto *c = telemetry::cachedCounter(
                 jobsCompletedSlot, "pool.jobs_completed"))

@@ -2,8 +2,8 @@
  * @file
  * A small fixed-size thread pool with a chunked parallel-for.
  *
- * The execution runtime (packed GEMM, InferenceSession) needs fork/
- * join data parallelism over index ranges, nothing more — so this is
+ * The execution runtime (packed GEMM, attend, encode) needs fork/join
+ * data parallelism over index ranges, nothing more — so this is
  * deliberately not a general task system: one job is active at a
  * time, workers pull fixed-grain chunks off a shared atomic cursor
  * (cache-friendly: consecutive chunks go to whichever lane is free,
@@ -11,9 +11,17 @@
  * participates instead of blocking idle. No work stealing, no
  * queues, no allocation on the hot path.
  *
- * All blocking uses mutex + condition_variable (no spin waits), so
- * the pool is well-behaved under sanitizers and on oversubscribed
- * machines.
+ * Hand-off is built for back-to-back jobs of a few microseconds (a
+ * decode step posts dozens): the caller publishes a job by bumping
+ * an atomic epoch, and idle workers spin on that epoch (CPU pauses,
+ * then yielding the core) for a bounded time (spinNanos) before
+ * parking on a condition variable, so a job posted within the spin
+ * window starts without a kernel wake-up while an idle pool still
+ * sleeps. Workers
+ * *join* an open job with a CAS on the same word; the caller closes
+ * the job once its cursor is drained and then waits only for the
+ * lanes that joined — a worker that wakes late finds the job closed
+ * and never touches the caller's stack frame.
  */
 
 #ifndef M2X_RUNTIME_THREAD_POOL_HH__
@@ -87,6 +95,14 @@ class ThreadPool
     /** A shared process-wide pool sized with defaultThreads(). */
     static ThreadPool &global();
 
+    /**
+     * How long an idle worker (or a caller waiting for joined lanes)
+     * spins before parking. Covers the gaps between the jobs of one
+     * decode step; an idle pool costs at most this much CPU per lane
+     * after its last job.
+     */
+    static constexpr uint64_t spinNanos = 100000;
+
   private:
     struct Job
     {
@@ -101,20 +117,45 @@ class ThreadPool
         std::exception_ptr error;
     };
 
+    /**
+     * The hand-off word, state_: the job epoch in the high bits, an
+     * "open" flag, and in the low bits the number of workers that
+     * joined the current job. Only the caller owning jobMutex_ bumps
+     * the epoch or clears the flag; workers only increment the join
+     * count, and only while the flag is set and the epoch is the one
+     * they observed.
+     */
+    static constexpr uint64_t joinMask = (uint64_t{1} << 16) - 1;
+    static constexpr uint64_t openBit = uint64_t{1} << 16;
+    static constexpr unsigned epochShift = 17;
+
     void workerLoop(unsigned lane);
+    /** Spin, then park, until the epoch moves past @p seen or the
+     *  pool stops; returns the state word that ended the wait. */
+    uint64_t awaitEpoch(uint64_t seen);
+    /** Spin, then park, until @p joined workers have finished. */
+    void awaitJoined(unsigned joined);
     static void runChunks(Job &job);
 
     unsigned nLanes_;
     std::vector<std::thread> workers_;
 
     std::mutex jobMutex_; //!< held by the caller owning the workers
-    std::mutex mutex_;
+
+    alignas(64) std::atomic<uint64_t> state_{0};
+    std::atomic<Job *> job_{nullptr}; //!< valid while joinable
+    alignas(64) std::atomic<unsigned> finished_{0}; //!< joined, done
+    std::atomic<bool> stop_{false};
+
+    /** @{ Parking: workers wait on wake_, the caller on done_. The
+     *  counters are read after the matching state change (seq_cst),
+     *  so a notifier only takes parkMutex_ when someone sleeps. */
+    std::mutex parkMutex_;
     std::condition_variable wake_;
     std::condition_variable done_;
-    Job *job_ = nullptr;      //!< current job, guarded by mutex_
-    uint64_t generation_ = 0; //!< bumps when a new job is posted
-    unsigned pending_ = 0;    //!< workers that have not finished job_
-    bool stop_ = false;
+    std::atomic<unsigned> parkedWorkers_{0};
+    std::atomic<bool> callerParked_{false};
+    /** @} */
 };
 
 /**

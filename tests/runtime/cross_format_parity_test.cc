@@ -24,7 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "runtime/kv_cache.hh"
 #include "runtime/kv_page_arena.hh"
 #include "runtime/packed_gemm.hh"
+#include "runtime/packed_gemm_kernels.hh"
 #include "runtime/thread_pool.hh"
 #include "runtime_test_util.hh"
 
@@ -251,6 +254,166 @@ TEST_P(CrossFormat, GemmAdversarialValuesScalarExact)
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
         Matrix got = packedMatmulNt(pa, pw, nullptr, isa);
         expectMatricesMatch(got, ref, isa);
+    }
+}
+
+/** Bitwise equality (NaN payloads and signed zeros included). */
+void
+expectSameBits(const Matrix &got, const Matrix &want, const char *what)
+{
+    ASSERT_TRUE(got.sameShape(want)) << what;
+    for (size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(std::bit_cast<uint32_t>(got.flat()[i]),
+                  std::bit_cast<uint32_t>(want.flat()[i]))
+            << what << ": elem " << i << " got " << got.flat()[i]
+            << " want " << want.flat()[i];
+}
+
+/**
+ * Random fill with the first @p gs-wide group of every row scaled by
+ * 2^50. As a GEMM weight it makes every output's double sum round at
+ * each later term (the first group leaves a partial sum whose ulp
+ * exceeds most products), so the bits depend on the summation order;
+ * plain 4.5-bit operands sum exactly in any order.
+ */
+Matrix
+roundingProbeMatrix(size_t r, size_t c, size_t gs, uint64_t seed)
+{
+    Matrix m = randomMatrix(r, c, seed, 4.0);
+    for (size_t i = 0; i < r; ++i)
+        for (size_t j = 0; j < std::min(c, gs); ++j)
+            m(i, j) = std::ldexp(m(i, j), 50);
+    return m;
+}
+
+/**
+ * Rows [r0, r0 + n) of a packed tensor as their own tensor: each row
+ * owns a contiguous run of every stream, so this is exactly what
+ * packing those rows alone gives.
+ */
+PackedM2xfpTensor
+packedRows(const PackedM2xfpTensor &t, size_t r0, size_t n)
+{
+    size_t gpr = t.groupsPerRow();
+    size_t geb = t.codecInfo().bytesPerGroupElems;
+    auto slice = [&](const std::vector<uint8_t> &v, size_t per_row) {
+        return std::vector<uint8_t>(v.begin() + r0 * per_row,
+                                    v.begin() + (r0 + n) * per_row);
+    };
+    return PackedM2xfpTensor::fromRawStreams(
+        n, t.cols(), slice(t.elementStream(), gpr * geb),
+        slice(t.scaleStream(), gpr), slice(t.metadataStream(), gpr),
+        t.codec());
+}
+
+TEST_P(CrossFormat, GemmRowsAreIndependentOfTheBatch)
+{
+    // The serving engine's batched == single-sequence oracle rests
+    // on this: on every tier, row i of packedMatmulNt(A) has the bits
+    // of packedMatmulNt(row i alone), for every M from 1 to past the
+    // single-block bound (so across the sliver/panel switch) and for
+    // a multi-block M. The weights make every sum round, so a change
+    // of summation order with the row count would show.
+    size_t k = 3 * groupSize() - 5;
+    size_t n = 37; // ragged last sliver on every tier
+    ThreadPool pool(4);
+    Matrix wm = roundingProbeMatrix(n, k, groupSize(), 0x51);
+    PackedM2xfpTensor pw = PackedM2xfpTensor::packWeightsCodec(wm, codec());
+    for (SimdIsa isa : supportedSimdIsas()) {
+        SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
+        size_t bound = detail::gemmBlocking(isa).mc;
+        size_t m_max = 2 * bound + 5;
+        PackedM2xfpTensor pa = PackedM2xfpTensor::packActivationsCodec(
+            randomMatrix(m_max, k, 0x52, 4.0), codec());
+        std::vector<Matrix> alone(m_max);
+        for (size_t i = 0; i < m_max; ++i)
+            alone[i] =
+                packedMatmulNt(packedRows(pa, i, 1), pw, &pool, isa);
+        std::vector<size_t> ms;
+        for (size_t m = 1; m <= bound + 2; ++m)
+            ms.push_back(m);
+        ms.push_back(m_max);
+        for (size_t m : ms) {
+            Matrix got =
+                packedMatmulNt(packedRows(pa, 0, m), pw, &pool, isa);
+            ASSERT_EQ(got.rows(), m);
+            for (size_t i = 0; i < m; ++i) {
+                Matrix row(1, n);
+                std::memcpy(row.data(), got.data() + i * n,
+                            n * sizeof(float));
+                std::string what = "M=" + std::to_string(m) + " row " +
+                                   std::to_string(i);
+                expectSameBits(row, alone[i], what.c_str());
+            }
+        }
+    }
+}
+
+TEST_P(CrossFormat, SliverDriverMatchesPanelDriverAtTheBound)
+{
+    // The single-block rule must never flip a bit: at the bound
+    // (sliver driver) and one past it (panel driver) both drivers
+    // agree with each other and with the dispatching entry point,
+    // with ragged K, ragged N, depth slicing across several KC
+    // slices, adversarial activations and weights whose sums round.
+    size_t gs = groupSize();
+    ThreadPool pool(3);
+    const size_t ks[] = {gs - 3, 3 * gs - 5, 4 * gs + gs / 2 + 1};
+    for (SimdIsa isa : supportedSimdIsas()) {
+        const detail::GemmBlocking def = detail::gemmBlocking(isa);
+        const detail::GemmBlocking blockings[] = {
+            def, detail::normalizeBlocking(isa, def.mr, 32, def.nr),
+            detail::normalizeBlocking(isa, 3 * def.mr, 64, 2 * def.nr)};
+        for (const detail::GemmBlocking &b : blockings) {
+            for (size_t k : ks) {
+                Matrix wm =
+                    roundingProbeMatrix(2 * b.nr + 3, k, gs, 0x61 + k);
+                PackedM2xfpTensor pw =
+                    PackedM2xfpTensor::packWeightsCodec(wm, codec());
+                for (size_t m : {b.mc, b.mc + 1}) {
+                    SCOPED_TRACE(std::string("isa=") + simdIsaName(isa) +
+                                 " mc=" + std::to_string(b.mc) +
+                                 " kc=" + std::to_string(b.kc) +
+                                 " m=" + std::to_string(m) +
+                                 " k=" + std::to_string(k));
+                    Matrix am = adversarialMatrix(m, k, 0x71 + m);
+                    PackedM2xfpTensor pa =
+                        PackedM2xfpTensor::packActivationsCodec(am,
+                                                                codec());
+                    Matrix panels, slivers, blocked;
+                    detail::packedMatmulNtPanels(pa, pw, panels, &pool,
+                                                 isa, b);
+                    detail::packedMatmulNtSlivers(pa, pw, slivers,
+                                                  &pool, isa, b);
+                    detail::packedMatmulNtBlocked(pa, pw, blocked,
+                                                  &pool, isa, b);
+                    expectSameBits(slivers, panels, "slivers vs panels");
+                    expectSameBits(blocked, panels, "blocked vs panels");
+                }
+            }
+        }
+    }
+}
+
+TEST_P(CrossFormat, RowParallelWeightPackMatchesSerial)
+{
+    // Construction packs weights row-parallel; the streams must be
+    // the serial functional packer's bytes on any lane count.
+    Matrix wm = adversarialMatrix(67, 3 * groupSize() - 5, 0x81);
+    PackedM2xfpTensor want =
+        PackedM2xfpTensor::packWeightsCodec(wm, codec());
+    for (unsigned lanes : {1u, 2u, 4u}) {
+        ThreadPool pool(lanes);
+        expectPackedStreamsEqual(
+            PackedM2xfpTensor::packWeightsCodec(wm, codec(), &pool), want,
+            "row-parallel codec weights");
+        if (codec() == PackedCodec::ElemEm) {
+            SgEmQuantizer q = makeM2xfpWeightQuantizer();
+            expectPackedStreamsEqual(
+                PackedM2xfpTensor::packWeights(wm, q, &pool),
+                PackedM2xfpTensor::packWeights(wm, q),
+                "row-parallel elem_em weights");
+        }
     }
 }
 

@@ -126,11 +126,36 @@ TEST(ElemEmGolden, GemmPanelDecodeOnEveryTier)
             kern.decodeActivationRow(a, r, buf.data());
             h = fnv1a(buf.data(), buf.size() * sizeof(float), h);
         }
+        uint64_t h_act = h;
         for (size_t r = 0; r < w.rows(); ++r) {
             kern.decodeWeightRow(w, r, buf.data());
             h = fnv1a(buf.data(), buf.size() * sizeof(float), h);
         }
         EXPECT_EQ(h, goldenGemmPanelHash);
+
+        // The sliver driver's just-in-time tile decode: the same
+        // weight rows read back out of the k-major double tiles must
+        // hash to the same constant (lanes past the last row are
+        // zero-filled).
+        size_t nr = kern.blocking.nr;
+        size_t gpr = w.groupsPerRow();
+        std::vector<double> tile(gpr * 32 * nr);
+        h = h_act;
+        for (size_t j0 = 0; j0 < w.rows(); j0 += nr) {
+            size_t jlim = std::min(nr, w.rows() - j0);
+            std::fill(tile.begin(), tile.end(), -1.0);
+            kern.decodeWeightTile(w, j0, jlim, 0, gpr, tile.data());
+            for (size_t lane = 0; lane < nr; ++lane) {
+                for (size_t p = 0; p < padded_k; ++p)
+                    buf[p] = static_cast<float>(tile[p * nr + lane]);
+                if (lane < jlim)
+                    h = fnv1a(buf.data(), buf.size() * sizeof(float), h);
+                else
+                    for (size_t p = 0; p < padded_k; ++p)
+                        ASSERT_EQ(tile[p * nr + lane], 0.0) << lane;
+            }
+        }
+        EXPECT_EQ(h, goldenGemmPanelHash) << "decodeWeightTile";
     }
 }
 

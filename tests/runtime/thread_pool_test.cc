@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the runtime ThreadPool: full coverage of ranges, chunk
- * boundaries, nesting, and reuse across jobs. Run under ASan/UBSan
- * in the CI sanitizer job.
+ * boundaries, nesting, reuse across jobs, and the spin-then-park
+ * hand-off protocol (join, close, drain, shutdown). Run under
+ * ASan/UBSan and TSan in the CI sanitizer jobs.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/telemetry.hh"
 #include "runtime/thread_pool.hh"
 
 namespace m2x {
@@ -205,6 +208,147 @@ TEST(ThreadPool, FirstOfManyConcurrentExceptionsWins)
             << round;
         EXPECT_GE(started.load(), 1) << round;
     }
+}
+
+/** Long enough for every idle worker to pass the spin and park. */
+void
+letWorkersPark()
+{
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(4 * ThreadPool::spinNanos) +
+        std::chrono::milliseconds(2));
+}
+
+TEST(ThreadPool, LateWorkerNeverRunsAClosedJob)
+{
+    // A worker that wakes after its job closed must skip it: the
+    // job (and the body it points to) lives on the caller's stack
+    // and is gone once parallelFor returns. Each job's body checks
+    // that its own job is still the live one; a late worker running
+    // a stale job would see a newer job id or a finished flag.
+    ThreadPool pool(4);
+    std::atomic<int> live_job{-1};
+    std::atomic<int> stale_runs{0};
+    for (int round = 0; round < 2000; ++round) {
+        if (round % 500 == 0)
+            letWorkersPark(); // exercise wake-from-park too
+        std::atomic<bool> returned{false};
+        live_job.store(round);
+        std::atomic<int> covered{0};
+        pool.parallelFor(0, 8, 1, [&, round](size_t b, size_t e) {
+            if (live_job.load() != round || returned.load())
+                stale_runs.fetch_add(1);
+            covered.fetch_add(static_cast<int>(e - b));
+        });
+        returned.store(true);
+        ASSERT_EQ(covered.load(), 8) << round;
+    }
+    EXPECT_EQ(stale_runs.load(), 0);
+}
+
+TEST(ThreadPool, CallerDoesNotWaitForLanesThatNeverJoined)
+{
+    // Parked workers take a kernel wake-up to see a new job; a tiny
+    // job the caller drains by itself must close and return without
+    // them. Worker lanes that join record pool.queue_wait_ns, so its
+    // sample count is the number of worker joins: a pool that waited
+    // for every worker would record 3 per job here, while a job that
+    // closes before a parked worker wakes records none.
+    auto &reg = telemetry::MetricRegistry::global();
+    bool was_enabled = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    ThreadPool pool(4);
+    telemetry::Histogram &joins = reg.histogram("pool.queue_wait_ns");
+    constexpr int jobs = 40;
+    uint64_t before = joins.count();
+    for (int j = 0; j < jobs; ++j) {
+        letWorkersPark();
+        std::atomic<int> total{0};
+        pool.parallelFor(0, 2, 1, [&](size_t b, size_t e) {
+            total.fetch_add(static_cast<int>(e - b));
+        });
+        ASSERT_EQ(total.load(), 2);
+    }
+    uint64_t worker_joins = joins.count() - before;
+    telemetry::setMetricsEnabled(was_enabled);
+    EXPECT_LT(worker_joins, uint64_t{3} * jobs);
+}
+
+TEST(ThreadPool, HundredThousandTinyJobsBackToBack)
+{
+    ThreadPool pool(4);
+    uint64_t total = 0;
+    for (int j = 0; j < 100000; ++j) {
+        std::atomic<uint64_t> sum{0};
+        pool.parallelFor(0, 4, 1, [&](size_t b, size_t e) {
+            for (size_t i = b; i < e; ++i)
+                sum.fetch_add(i + 1);
+        });
+        total += sum.load();
+    }
+    EXPECT_EQ(total, uint64_t{10} * 100000);
+}
+
+TEST(ThreadPool, WorkerExceptionAfterParkingStillRethrows)
+{
+    // The exception-safe drain across a park/wake cycle: the
+    // throwing lane is a worker woken from its condition variable.
+    ThreadPool pool(2);
+    std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 3; ++round) {
+        letWorkersPark();
+        std::atomic<bool> worker_threw{false};
+        try {
+            pool.parallelFor(0, 2, 1, [&](size_t, size_t) {
+                if (std::this_thread::get_id() == caller) {
+                    while (!worker_threw.load())
+                        std::this_thread::yield();
+                } else {
+                    worker_threw.store(true);
+                    throw std::runtime_error("parked boom");
+                }
+            });
+            FAIL() << "expected the worker exception on the caller";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "parked boom");
+        }
+    }
+}
+
+TEST(ThreadPool, DestructionJoinsSpinningAndParkedWorkersPromptly)
+{
+    using clock = std::chrono::steady_clock;
+    auto run_one = [](ThreadPool &pool) {
+        std::atomic<int> total{0};
+        pool.parallelFor(0, 64, 1, [&](size_t b, size_t e) {
+            total.fetch_add(static_cast<int>(e - b));
+        });
+        EXPECT_EQ(total.load(), 64);
+    };
+    // Spinning: destroyed right after a job, inside the spin window.
+    for (int i = 0; i < 20; ++i) {
+        auto t0 = clock::now();
+        {
+            ThreadPool pool(4);
+            run_one(pool);
+        }
+        EXPECT_LT(clock::now() - t0, std::chrono::seconds(2));
+    }
+    // Parked: destroyed long after the spin window closed.
+    auto t0 = clock::now();
+    {
+        ThreadPool pool(4);
+        run_one(pool);
+        letWorkersPark();
+        t0 = clock::now();
+    }
+    EXPECT_LT(clock::now() - t0, std::chrono::seconds(2));
+    // Never used: workers park without ever seeing a job.
+    t0 = clock::now();
+    {
+        ThreadPool pool(4);
+    }
+    EXPECT_LT(clock::now() - t0, std::chrono::seconds(2));
 }
 
 namespace {
