@@ -293,7 +293,7 @@ main(int argc, char **argv)
         KvCacheMode mode = modes[mi];
         if (mi == 0) {
             // The packed arena defines the byte budget...
-            KvPageArena probe(mc.dModel, KvCacheMode::Packed, {},
+            KvPageArena probe(mc.dModel, KvCacheMode::Packed,
                               activeSimdIsa(),
                               {page_rows, arena_pages});
             arena_bytes = arena_pages * probe.pageBytes();

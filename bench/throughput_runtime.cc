@@ -5,20 +5,23 @@
  * GEMM (per ISA kernel tier, the cache-blocked panel driver) and
  * PackedLinear forward vs the reference quantized path — with the
  * quantize/GEMM wall-time split — at several shapes and thread
- * counts (1/2/4/8 capped at the hardware width), plus the legacy
- * tile-at-a-time driver as a trajectory anchor (blocked_vs_pr3_1t),
- * a per-block-size MC/KC/NC sweep, a whole-model InferenceSession
- * run and an autoregressive decode run (tokens/s and resident KV
+ * counts (1/2/4/8 capped at the hardware width), plus a
+ * per-block-size MC/KC/NC sweep, a whole-model InferenceSession
+ * run, an autoregressive decode run (tokens/s and resident KV
  * bytes per token, packed M2XFP cache vs the fp32-cache oracle
- * baseline). Writes the machine-readable BENCH_runtime.json — the
- * repo's perf trajectory point for the execution runtime, including
- * which SIMD tier ran — which tools/check_bench_regression.py
- * compares against the committed baseline in CI.
+ * baseline), single-query flash attends at growing context lengths
+ * and one decode run per registered codec. Writes the
+ * machine-readable BENCH_runtime.json — the repo's perf trajectory
+ * point for the execution runtime, including which SIMD tier ran —
+ * which tools/check_bench_regression.py compares against the
+ * committed baseline in CI.
  *
  * Numerical verification precedes every timing loop: the scalar
  * GEMM tier must be bit-exact against matmulNt over the unpacked
  * operands, vector GEMM tiers within 1e-6 relative of it, and every
- * encoder tier byte-identical to the functional packer.
+ * encoder tier byte-identical to the functional packer. Activation
+ * packing is timed on the tiers with an encoder of their own
+ * (scalar, avx2); the avx512 tier encodes with the avx2 kernel.
  *
  * Thread counts are limited to what the machine can actually run in
  * parallel: on a 1-hardware-thread box multi-thread rows measure
@@ -122,8 +125,8 @@ calibrateReps(F &&fn, double min_s, double *first_s = nullptr)
  * Returns the fastest of three >= min_s windows: scheduler and
  * frequency noise on a shared machine only ever slows a window down,
  * so the minimum is the estimator closest to the true cost — and the
- * one that keeps same-run ratios (flash_vs_old, packed-vs-fp32)
- * stable enough to gate on.
+ * one that keeps same-run ratios (packed-vs-fp32) stable enough to
+ * gate on.
  */
 template <typename F>
 double
@@ -303,19 +306,11 @@ main(int argc, char **argv)
         Matrix w_deq = pw.unpackWeights(wq);
 
         // Verify before timing: the scalar tier is the bit-exact
-        // oracle, every vector tier is held to 1e-6 relative — the
-        // legacy PR3 tiled driver included, since it anchors the
-        // blocked_vs_pr3 ratio below.
+        // oracle, every vector tier is held to 1e-6 relative.
         Matrix ref_out = matmulNt(a_deq, w_deq);
-        for (SimdIsa isa : isas) {
+        for (SimdIsa isa : isas)
             requireMatch(packedMatmulNt(pa, pw, nullptr, isa),
                          ref_out, isa, 1e-6, "packed GEMM");
-            Matrix tiled;
-            detail::packedMatmulNtTiled(pa, pw, tiled, nullptr,
-                                        isa);
-            requireMatch(tiled, ref_out, isa, 1e-6,
-                         "PR3 tiled GEMM");
-        }
 
         // Reference: dense GEMM on already-dequantized operands.
         double ref_s =
@@ -326,20 +321,6 @@ main(int argc, char **argv)
             [&] {
                 matmulNt(pa.unpackActivations(aq),
                          pw.unpackWeights(wq));
-            },
-            min_s);
-        // The PR3 tile-at-a-time driver on its best tier (AVX2 —
-        // that is exactly what PR3 shipped), 1 thread: the committed
-        // trajectory point the blocked rework is measured against.
-        SimdIsa pr3_isa = simdIsaAvailable(SimdIsa::Avx2)
-                              ? SimdIsa::Avx2
-                              : SimdIsa::Scalar;
-        ThreadPool pool1(1);
-        Matrix tiled_out;
-        double pr3_s = timeIt(
-            [&] {
-                detail::packedMatmulNtTiled(pa, pw, tiled_out,
-                                            &pool1, pr3_isa);
             },
             min_s);
 
@@ -395,26 +376,6 @@ main(int argc, char **argv)
             }
         }
         std::fprintf(out, "\n    ]");
-        std::fprintf(out,
-                     ",\n     \"pr3_isa\": \"%s\", "
-                     "\"pr3_tiled_1t_s\": %.6e",
-                     simdIsaName(pr3_isa), pr3_s);
-        // Blocked-vs-PR3 at 1 thread compares the blocked driver on
-        // its best tier against the tile-at-a-time driver on its
-        // best tier — the honest "did the rework pay off" number.
-        double best_1t = 0.0;
-        for (size_t t = 3; t-- > 0;)
-            if (single_thread_s[t] > 0.0) {
-                best_1t = single_thread_s[t];
-                break;
-            }
-        if (best_1t > 0.0) {
-            double r = pr3_s / best_1t;
-            std::printf("  blocked vs PR3 tiled @1 thread: %.2fx\n",
-                        r);
-            std::fprintf(out,
-                         ",\n     \"blocked_vs_pr3_1t\": %.3f", r);
-        }
         if (single_thread_s[1] > 0.0) {
             double ratio =
                 single_thread_s[0] / single_thread_s[1];
@@ -438,7 +399,7 @@ main(int argc, char **argv)
 
     // Per-block-size sweep: the blocked driver's MC/KC/NC space on
     // the best available tier at 1 thread — the data behind the
-    // default blocking choices (and the M2X_GEMM_MC/KC/NC knobs).
+    // per-ISA blocking choices.
     std::fprintf(out, "\n  ],\n  \"gemm_block_sweep\": {");
     {
         Shape sw = quick ? Shape{16, 192, 192}
@@ -494,8 +455,9 @@ main(int argc, char **argv)
 
     // Online activation packing: the forward hot path's encode side.
     // The functional ElemEmQuantizer packer is the baseline the
-    // fast-path rows are normalized against; every fast tier is
-    // verified byte-identical before any timing.
+    // fast-path rows are normalized against; every tier is verified
+    // byte-identical before any timing, and the tiers with their own
+    // encoder (scalar, avx2) are timed.
     for (size_t si = 0; si < shapes.size(); ++si) {
         const Shape &sh = shapes[si];
         Matrix a = randomMatrix(sh.m, sh.k, 50 + si, 4.0);
@@ -524,10 +486,12 @@ main(int argc, char **argv)
                      sh.m * sh.k * sizeof(float), func_s,
                      bytes / func_s * 1e-9);
 
-        // Indexed by SimdIsa: [scalar, avx2, avx512].
-        double single_thread_s[3] = {0.0, 0.0, 0.0};
+        // Indexed by SimdIsa: [scalar, avx2].
+        double single_thread_s[2] = {0.0, 0.0};
         bool first_entry = true;
         for (SimdIsa isa : isas) {
+            if (isa == SimdIsa::Avx512)
+                continue;
             for (unsigned tc : counts) {
                 ThreadPool pool(tc);
                 PackedM2xfpTensor buf;
@@ -571,17 +535,6 @@ main(int argc, char **argv)
                          single_thread_s[0] / single_thread_s[1],
                          func_s / single_thread_s[1]);
         }
-        if (single_thread_s[2] > 0.0) {
-            std::printf("  avx512 vs scalar @1 thread: %.2fx, "
-                        "vs functional: %.2fx\n",
-                        single_thread_s[0] / single_thread_s[2],
-                        func_s / single_thread_s[2]);
-            std::fprintf(out,
-                         ",\n     \"avx512_vs_scalar_1t\": %.3f"
-                         ",\n     \"avx512_vs_functional_1t\": %.3f",
-                         single_thread_s[0] / single_thread_s[2],
-                         func_s / single_thread_s[2]);
-        }
         std::fprintf(out, "}");
     }
     std::fprintf(out, "\n  ],\n  \"forward\": [");
@@ -611,7 +564,7 @@ main(int argc, char **argv)
                      activeSimdIsaName(), ref_s);
         for (size_t ci = 0; ci < counts.size(); ++ci) {
             ThreadPool pool(counts[ci]);
-            PackedLinear packed(w, {}, &pool);
+            PackedLinear packed(w, &pool);
             requireMatch(packed.forward(x), ref_lin.forward(x),
                          packed.simdIsa(), 1e-6, "packed forward");
             // Steady-state serving shape: reused workspace and
@@ -785,7 +738,7 @@ main(int argc, char **argv)
         {
             DecodeSession s(vc, {.kvMode = KvCacheMode::Packed});
             model::TinyTransformer ref(vc);
-            ref.rebuild(packedLinearFactory({}, nullptr, nullptr,
+            ref.rebuild(packedLinearFactory(nullptr, nullptr,
                                             s.simdIsa()));
             ref.setKvQuantizers(
                 [] {
@@ -922,24 +875,18 @@ main(int argc, char **argv)
                      ratio);
     }
 
-    // Long-context attend trajectory: the flash-style blocked
-    // online-softmax attend vs the pre-flash attendLegacy baseline
-    // at growing context lengths, measured at the KvCache level (one
-    // layer, single-query decode shape, 1 thread — the per-sequence
-    // serving fan-out unit). Rows are keyed (context, mode, isa,
-    // threads) for the regression gate; the quick contexts are a
-    // subset of the full ladder so smoke rows match the committed
-    // baseline. flash_vs_old is the trajectory ratio (both sides
-    // measured on this run), attend scratch must stay constant as
-    // context grows 256x — both asserted before the JSON is usable.
+    // Long-context attend: the flash-style blocked online-softmax
+    // attend at growing context lengths, measured at the KvCache
+    // level (one layer, single-query decode shape, 1 thread — the
+    // per-sequence serving fan-out unit), packed against fp32 pages
+    // of the same rows. Attend scratch must stay constant as context
+    // grows 256x — asserted before the JSON is usable.
     {
         const size_t lc_d = 192;     // the llama2_7b width
         const unsigned lc_heads = 4; // headDim 48
         // Single-query attends are microseconds at the quick
-        // contexts; the quick-mode 0.02 s window is too short for a
-        // stable flash/legacy ratio on a noisy runner, and the rows
-        // feed the regression gate. Floor the window instead of
-        // skipping the section.
+        // contexts; floor the window so the quick run's
+        // packed-vs-fp32 ratio is not pure timer noise.
         double lc_min_s = std::max(min_s, 0.1);
         std::vector<size_t> contexts =
             quick ? std::vector<size_t>{256, 1024}
@@ -968,41 +915,13 @@ main(int argc, char **argv)
                     cache.append(0, kv_rows.data(), kv_rows.data(),
                                  chunk_rows, &pool1);
 
-                // Parity before timing: the legacy attend is the
-                // oracle here (fp32 bitwise, packed within the model
-                // tolerance — exp/accumulation association differ).
-                Matrix flash_out(1, lc_d), old_out(1, lc_d);
-                cache.attend(0, lq.data(), 1, ctx_len - 1, lc_heads,
-                             flash_out.data(), &pool1);
-                cache.attendLegacy(0, lq.data(), 1, ctx_len - 1,
-                                   lc_heads, old_out.data(), &pool1);
-                if (mode == KvCacheMode::Fp32)
-                    requireBitExact(flash_out, old_out,
-                                    "fp32 flash vs legacy attend");
-                else
-                    requireClose(flash_out, old_out, 1e-5,
-                                 "packed flash vs legacy attend");
-
-                // Paired windows: the flash and legacy sides of each
-                // window run back to back, so runner noise that
-                // varies on a seconds scale (a neighbor stealing the
-                // core for one window) hits both sides of the ratio
-                // instead of skewing one. The reported pair is the
-                // window with the fastest combined time — the
-                // cleanest regime — keeping flash_attend_s,
-                // old_attend_s, and flash_vs_old mutually consistent.
+                Matrix flash_out(1, lc_d);
                 auto flash_fn = [&] {
                     cache.attend(0, lq.data(), 1, ctx_len - 1,
                                  lc_heads, flash_out.data(), &pool1);
                 };
-                auto old_fn = [&] {
-                    cache.attendLegacy(0, lq.data(), 1, ctx_len - 1,
-                                       lc_heads, old_out.data(),
-                                       &pool1);
-                };
                 resetAttendScratchPeak();
-                int f_reps = calibrateReps(flash_fn, lc_min_s);
-                int o_reps = calibrateReps(old_fn, lc_min_s);
+                double flash_s = timeIt(flash_fn, lc_min_s);
                 size_t scratch = attendScratchPeakBytes();
                 if (scratch_first == 0)
                     scratch_first = scratch;
@@ -1011,39 +930,26 @@ main(int argc, char **argv)
                            "(%zu bytes at %zu vs %zu at %zu rows)",
                            scratch, ctx_len, scratch_first,
                            contexts.front());
-                double flash_s = 0.0, old_s = 0.0;
-                for (int w = 0; w < 3; ++w) {
-                    double fs = windowSeconds(flash_fn, f_reps);
-                    double os = windowSeconds(old_fn, o_reps);
-                    if (w == 0 || fs + os < flash_s + old_s) {
-                        flash_s = fs;
-                        old_s = os;
-                    }
-                }
                 flash_s_of[mi].push_back(flash_s);
 
                 double bpt = cache.bytesPerToken();
                 std::printf(
                     "long-context %-6s ctx %6zu: flash %8.1f "
-                    "attends/s, %.2fx old, scratch %zu B, "
-                    "%.0f KV B/token\n",
+                    "attends/s, scratch %zu B, %.0f KV B/token\n",
                     kvCacheModeName(mode), ctx_len, 1.0 / flash_s,
-                    old_s / flash_s, scratch, bpt);
+                    scratch, bpt);
                 std::fprintf(
                     out,
                     "%s\n      {\"context\": %zu, \"mode\": \"%s\", "
                     "\"isa\": \"%s\", \"threads\": 1, "
                     "\"window_s\": %.3f,\n"
                     "       \"flash_attend_s\": %.6e, "
-                    "\"old_attend_s\": %.6e, "
                     "\"attends_per_s\": %.3f,\n"
-                    "       \"flash_vs_old\": %.3f, "
-                    "\"scratch_bytes\": %zu, "
+                    "       \"scratch_bytes\": %zu, "
                     "\"kv_bytes_per_token\": %.3f}",
                     first_row ? "" : ",", ctx_len,
                     kvCacheModeName(mode), activeSimdIsaName(),
-                    lc_min_s, flash_s, old_s, 1.0 / flash_s,
-                    old_s / flash_s, scratch, bpt);
+                    lc_min_s, flash_s, 1.0 / flash_s, scratch, bpt);
                 first_row = false;
             }
         }

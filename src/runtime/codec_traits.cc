@@ -40,6 +40,11 @@ buildTraits(PackedCodec codec)
     t.codec = codec;
     t.info = &packedCodecInfo(codec);
     t.actKind = actKindOf(codec);
+    m2x_assert((t.info->groupSize == 32 && t.info->subgroupSize == 8) ||
+                   (t.info->groupSize == 16 &&
+                    t.info->subgroupSize == 4),
+               "codec %s: no decode kernel for g%u/sg%u",
+               t.info->name, t.info->groupSize, t.info->subgroupSize);
 
     for (uint32_t c = 0; c < 16; ++c)
         t.fp4Value[c] = fp4.decode(c);
@@ -61,7 +66,8 @@ buildTraits(PackedCodec codec)
 
     // Top1Replace: Elem-EM's FP6 promotion fp4_mag*4 + meta - 1,
     // including the & 0x1f wrap of the never-emitted mag=0/meta=0
-    // corner — the same guarded arithmetic as decode_lut.
+    // corner — the same guarded arithmetic as
+    // ElemEmQuantizer::decodeGroup.
     for (uint32_t c = 0; c < 16; ++c) {
         uint32_t mag4 = c & 0x7u;
         bool neg = (c >> 3) & 1u;
@@ -109,30 +115,39 @@ top1Of(const uint8_t *codes, unsigned n)
     return best;
 }
 
-/** Sg-EM-style decode: out = fp4 * (sval * subMult[meta_s]). */
+/**
+ * Sg-EM-style decode of one group of GS elements:
+ * out = fp4 * (sval * subMult[meta_s]). The geometry is a template
+ * argument so the byte loops unroll.
+ */
+template <unsigned GS, unsigned SGS>
+void
+subgroupMultGroup(const CodecTraits &tr, const uint8_t *bytes,
+                  float sval, uint8_t meta, float *out)
+{
+    for (unsigned s = 0; s < GS / SGS; ++s) {
+        float scale = sval * tr.subMult[(meta >> (2 * s)) & 0x3u];
+        for (unsigned i = s * SGS / 2; i < (s + 1) * SGS / 2; ++i) {
+            Fp4Pair p = tr.fp4Pair[bytes[i]];
+            out[2 * i] = p.lo * scale;
+            out[2 * i + 1] = p.hi * scale;
+        }
+    }
+}
+
 void
 decodeGroupSubgroupMult(const CodecTraits &tr,
                         const PackedM2xfpTensor &t, size_t row,
                         size_t group, float *out)
 {
-    const PackedCodecInfo &info = *tr.info;
     const uint8_t *bytes = t.groupElementBytes(row, group);
     float sval = tr.scaleValue[t.scaleCode(row, group)];
     uint8_t meta = t.groupMetaByte(row, group);
-
-    unsigned n_sub = info.groupSize / info.subgroupSize;
-    float sub_scale[4];
-    for (unsigned s = 0; s < n_sub; ++s)
-        sub_scale[s] = sval * tr.subMult[(meta >> (2 * s)) & 0x3u];
-
-    unsigned bytes_per_sub = info.subgroupSize / 2;
-    for (unsigned i = 0; i < info.bytesPerGroupElems; ++i) {
-        uint8_t b = bytes[i];
-        float scale = sub_scale[i / bytes_per_sub];
-        Fp4Pair p = tr.fp4Pair[b];
-        out[2 * i] = p.lo * scale;
-        out[2 * i + 1] = p.hi * scale;
-    }
+    // The two stream geometries (checked in buildTraits).
+    if (tr.info->groupSize == 32)
+        subgroupMultGroup<32, 8>(tr, bytes, sval, meta, out);
+    else
+        subgroupMultGroup<16, 4>(tr, bytes, sval, meta, out);
 }
 
 /** Elem-EM-style decode: fp4 * sval, top-1 replaced via top1Value. */
@@ -196,6 +211,24 @@ decodeGroupTop1Multiply(const CodecTraits &tr,
     }
 }
 
+/** One activation-role group, per the codec's metadata kind. */
+void
+decodeActGroup(const CodecTraits &tr, const PackedM2xfpTensor &t,
+               size_t row, size_t group, float *out)
+{
+    switch (tr.actKind) {
+    case GroupDecodeKind::Top1Replace:
+        decodeGroupTop1Replace(tr, t, row, group, out);
+        break;
+    case GroupDecodeKind::Top1Multiply:
+        decodeGroupTop1Multiply(tr, t, row, group, out);
+        break;
+    case GroupDecodeKind::SubgroupMult:
+        decodeGroupSubgroupMult(tr, t, row, group, out);
+        break;
+    }
+}
+
 } // anonymous namespace
 
 const CodecTraits &
@@ -212,44 +245,35 @@ void
 codecDecodeActivationGroup(const PackedM2xfpTensor &t, size_t row,
                            size_t group, float *out)
 {
-    const CodecTraits &tr = CodecTraits::get(t.codec());
-    switch (tr.actKind) {
-    case GroupDecodeKind::Top1Replace:
-        decodeGroupTop1Replace(tr, t, row, group, out);
-        break;
-    case GroupDecodeKind::Top1Multiply:
-        decodeGroupTop1Multiply(tr, t, row, group, out);
-        break;
-    case GroupDecodeKind::SubgroupMult:
-        decodeGroupSubgroupMult(tr, t, row, group, out);
-        break;
-    }
+    decodeActGroup(CodecTraits::get(t.codec()), t, row, group, out);
 }
 
 void
 codecDecodeWeightGroup(const PackedM2xfpTensor &t, size_t row,
                        size_t group, float *out)
 {
-    const CodecTraits &tr = CodecTraits::get(t.codec());
-    decodeGroupSubgroupMult(tr, t, row, group, out);
+    decodeGroupSubgroupMult(CodecTraits::get(t.codec()), t, row, group,
+                            out);
 }
 
 void
 codecDecodeActivationRow(const PackedM2xfpTensor &t, size_t row,
                          float *out)
 {
-    size_t gs = t.codecInfo().groupSize;
+    const CodecTraits &tr = CodecTraits::get(t.codec());
+    size_t gs = tr.info->groupSize;
     for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        codecDecodeActivationGroup(t, row, g, out + g * gs);
+        decodeActGroup(tr, t, row, g, out + g * gs);
 }
 
 void
 codecDecodeWeightRow(const PackedM2xfpTensor &t, size_t row,
                      float *out)
 {
-    size_t gs = t.codecInfo().groupSize;
+    const CodecTraits &tr = CodecTraits::get(t.codec());
+    size_t gs = tr.info->groupSize;
     for (size_t g = 0; g < t.groupsPerRow(); ++g)
-        codecDecodeWeightGroup(t, row, g, out + g * gs);
+        decodeGroupSubgroupMult(tr, t, row, g, out + g * gs);
 }
 
 void

@@ -1,10 +1,12 @@
 /**
  * @file
- * The codec-traits seam of the packed execution runtime.
+ * The decode tables of the packed execution runtime, one family over
+ * the PackedCodec axis.
  *
- * runtime/decode_lut hardwires the paper pair (Elem-EM activations,
- * Sg-EM weights). CodecTraits generalizes the same LUT family over
- * the PackedCodec axis: per codec, the tables capture
+ * The functional codecs (core/elem_em, core/sg_em, ...) decode with
+ * branchy float math and per-group vector allocations — fine for
+ * verification, far too slow for a compute engine. These tables turn
+ * group dequantization into pure loads. Per codec they capture
  *   - the stream geometry (group size, nibble bytes — via the
  *     codec's PackedCodecInfo),
  *   - the scale-byte rule (E8M0 exponent or NVFP4's FP8 E4M3),
@@ -17,16 +19,15 @@
  * Every table entry is produced by the same functions the functional
  * codecs call, so the generic kernels below are bit-identical to
  * PackedM2xfpTensor::unpackActivationsCodec / unpackWeightsCodec —
- * asserted by tests/runtime/codec_traits_test.cc. For
- * PackedCodec::ElemEm they are additionally bit-identical to the
- * legacy decode_lut / per-ISA kernels, which keeps the paper-pair
- * fast paths byte-for-byte intact.
+ * asserted by tests/runtime/codec_traits_test.cc. The per-ISA
+ * Elem-EM kernels of the GEMM and the attend load their registers
+ * from CodecTraits::get(PackedCodec::ElemEm), and the scalar tier
+ * runs these generic kernels, so every tier decodes the same values.
  *
- * The generic kernels are deliberately signature-compatible with the
- * GEMM's DecodeRowFn and the attend's DecodeRowsFn: the drivers pick
- * the ISA kernel for Elem-EM tensors and fall back to these for
- * every other codec, so adding a format never touches a kernel
- * table.
+ * The generic kernels are signature-compatible with the GEMM's
+ * DecodeRowFn and the attend's DecodeRowsFn: the drivers pick the
+ * ISA kernel for Elem-EM tensors and fall back to these for every
+ * other codec, so adding a format never touches a kernel table.
  */
 
 #ifndef M2X_RUNTIME_CODEC_TRAITS_HH__
@@ -35,10 +36,16 @@
 #include <cstdint>
 
 #include "core/m2xfp_packed.hh"
-#include "runtime/decode_lut.hh"
 
 namespace m2x {
 namespace runtime {
+
+/** Two decoded FP4 values of one packed element byte. */
+struct Fp4Pair
+{
+    float lo; //!< low nibble (even element)
+    float hi; //!< high nibble (odd element)
+};
 
 /** How a codec's 2-bit subgroup metadata acts during decode. */
 enum class GroupDecodeKind : uint8_t
@@ -99,8 +106,8 @@ struct CodecTraits
  * Signature-compatible with the GEMM's DecodeRowFn
  * (codecDecodeActivationRow / codecDecodeWeightRow) and the attend's
  * DecodeRowsFn (codecDecodeRows); row buffers are group-padded
- * exactly like the Elem-EM kernels (groupsPerRow * groupSize floats,
- * padding elements decode to +0.0 for every codec).
+ * (groupsPerRow * groupSize floats, padding elements decode to +0.0
+ * for every codec). They are also the scalar tier's decode kernels.
  */
 void codecDecodeActivationGroup(const PackedM2xfpTensor &t, size_t row,
                                 size_t group, float *out);

@@ -28,12 +28,12 @@ DecodeSession::DecodeSession(const model::ModelConfig &model_cfg,
                      ? std::make_unique<ThreadPool>(cfg.threads)
                      : nullptr),
       model_(model_cfg), isa_(cfg.isa),
-      arena_(model_cfg.kvDim(), cfg.kvMode, cfg.format, cfg.isa,
+      arena_(model_cfg.kvDim(), cfg.kvMode, cfg.isa,
              KvArenaConfig{cfg.pageRows, cfg.arenaPages, cfg.codec}),
       backend_(ownedPool_.get(), &attendNanos_)
 {
-    model_.rebuild(packedLinearFactory(cfg.format, ownedPool_.get(),
-                                       &stats_, isa_, cfg.codec));
+    model_.rebuild(
+        packedLinearFactory(ownedPool_.get(), &stats_, isa_, cfg.codec));
 }
 
 DecodeSession::~DecodeSession() = default;

@@ -47,7 +47,6 @@
 #include <span>
 #include <vector>
 
-#include "core/m2xfp.hh"
 #include "model/config.hh"
 #include "model/transformer.hh"
 #include "runtime/inference_session.hh"
@@ -65,8 +64,6 @@ struct DecodeConfig
 {
     /** Parallel lanes; 0 = the global pool. */
     unsigned threads = 0;
-    /** Format configuration (must keep the paper packed layout). */
-    M2xfpConfig format{};
     /** Kernel tier for every layer and the KV codec. */
     SimdIsa isa = activeSimdIsa();
     /** Resident representation of the KV cache. */

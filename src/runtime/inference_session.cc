@@ -94,28 +94,21 @@ class TimedLinear : public LinearOp
 } // anonymous namespace
 
 model::LinearFactory
-packedLinearFactory(M2xfpConfig cfg, ThreadPool *pool,
+packedLinearFactory(ThreadPool *pool,
                     std::vector<std::shared_ptr<LayerStats>> *stats,
                     SimdIsa isa, PackedCodec codec)
 {
-    return [cfg, pool, stats, isa, codec](const Matrix &w,
-                                          const std::string &name,
-                                          const Matrix *)
+    return [pool, stats, isa, codec](const Matrix &w,
+                                     const std::string &name,
+                                     const Matrix *)
                -> std::unique_ptr<LinearOp> {
         auto packed =
-            std::make_unique<PackedLinear>(w, cfg, pool, isa, codec);
+            std::make_unique<PackedLinear>(w, pool, isa, codec);
         if (!stats)
             return packed;
         auto s = std::make_shared<LayerStats>();
         s->name = name;
-        // When the encode stage runs a demoted tier (encodeSimdIsa),
-        // surface it: "avx512+avx2enc" means AVX-512 GEMM fed by the
-        // AVX2 activation encoder.
-        SimdIsa gemm_isa = packed->simdIsa();
-        SimdIsa enc_isa = encodeSimdIsa(gemm_isa);
-        s->isa = simdIsaName(gemm_isa);
-        if (enc_isa != gemm_isa)
-            s->isa += std::string("+") + simdIsaName(enc_isa) + "enc";
+        s->isa = simdIsaName(packed->simdIsa());
         s->inFeatures = packed->inFeatures();
         s->outFeatures = packed->outFeatures();
         s->packedBytes = packed->residentBytes();
@@ -132,8 +125,8 @@ InferenceSession::InferenceSession(const model::ModelConfig &model_cfg,
                              : nullptr),
       model_(model_cfg), isa_(cfg.isa), codec_(cfg.codec)
 {
-    model_.rebuild(packedLinearFactory(cfg.format, ownedPool_.get(),
-                                       &stats_, isa_, codec_));
+    model_.rebuild(
+        packedLinearFactory(ownedPool_.get(), &stats_, isa_, codec_));
 }
 
 InferenceSession::~InferenceSession() = default;

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/m2xfp.hh"
 #include "core/packed_codec.hh"
 #include "model/config.hh"
 #include "model/transformer.hh"
@@ -77,8 +76,6 @@ struct SessionConfig
 {
     /** Parallel lanes for the packed GEMM; 0 = the global pool. */
     unsigned threads = 0;
-    /** Format configuration (must keep the paper packed layout). */
-    M2xfpConfig format{};
     /** Kernel tier for every layer; defaults to the dispatch pick. */
     SimdIsa isa = activeSimdIsa();
     /**
@@ -162,7 +159,7 @@ class InferenceSession
  * kernel tier (defaults to the process-wide dispatch decision).
  */
 model::LinearFactory packedLinearFactory(
-    M2xfpConfig cfg = {}, ThreadPool *pool = nullptr,
+    ThreadPool *pool = nullptr,
     std::vector<std::shared_ptr<LayerStats>> *stats = nullptr,
     SimdIsa isa = activeSimdIsa(),
     PackedCodec codec = PackedCodec::ElemEm);

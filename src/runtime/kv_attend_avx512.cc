@@ -1,7 +1,7 @@
 /**
  * @file
  * AVX-512 (F) tier of the KV-cache attention primitives: 8-wide
- * double FMA chains for the per-head score dots and value
+ * double FMA chains for the per-head page score dots and value
  * accumulations, and a 16-wide polynomial float exp for the
  * online-softmax exponential weights.
  *
@@ -24,8 +24,8 @@
  * the shared scale multiply. Two groups are interleaved per
  * iteration to cover the shuffle-port latency. Every lane's value
  * is the exact same table entry times the exact same scale as the
- * scalar LUT decode, so the result stays bit-identical (asserted by
- * the flash kernel parity tests).
+ * scalar generic decode, so the result stays bit-identical (asserted
+ * by the flash kernel parity tests).
  *
  * This translation unit is compiled with -mavx2 -mfma -mavx512f
  * -mavx512bw and must only be entered through the runtime dispatch
@@ -36,7 +36,7 @@
 #include <immintrin.h>
 #include <limits>
 
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/kv_attend_kernels.hh"
 
 namespace m2x {
@@ -55,9 +55,9 @@ loadPs8(const float *p)
 /** Decode tables staged into 16-lane register form. */
 struct Avx512Tables
 {
-    const DecodeTables *lut;
+    const CodecTraits *lut;
     __m512 fp4;  //!< fp4Value[0..15]
-    /** elemEmValue flattened to [code*4 + meta], 64 entries. */
+    /** top1Value flattened to [code*4 + meta], 64 entries. */
     __m512 em0, em1, em2, em3;
 };
 
@@ -65,11 +65,11 @@ const Avx512Tables &
 tables512()
 {
     static const Avx512Tables t = [] {
-        const DecodeTables &lut = DecodeTables::get();
+        const CodecTraits &lut = CodecTraits::get(PackedCodec::ElemEm);
         alignas(64) float em[64];
         for (unsigned c = 0; c < 16; ++c)
             for (unsigned m = 0; m < 4; ++m)
-                em[c * 4 + m] = lut.elemEmValue[c][m];
+                em[c * 4 + m] = lut.top1Value[c][m];
         return Avx512Tables{&lut, _mm512_loadu_ps(lut.fp4Value),
                             _mm512_loadu_ps(em),
                             _mm512_loadu_ps(em + 16),
@@ -107,7 +107,7 @@ decodeHalf512(const Avx512Tables &t, __m512i code, __m512i mb,
         mx, _mm512_shuffle_epi32(mx, (_MM_PERM_ENUM)0x4E));
     mx = _mm512_max_epi32(mx, _mm512_permutexvar_epi32(swap4, mx));
     __mmask16 win = _mm512_cmpeq_epi32_mask(key, mx);
-    // elemEmValue[code][meta] for every lane: 6-bit index into the
+    // top1Value[code][meta] for every lane: 6-bit index into the
     // 64-entry table, two 32-entry vpermt2ps halves blended on
     // index bit 5.
     __m512i mc = _mm512_and_si512(_mm512_srlv_epi32(mb, shifts),
@@ -160,50 +160,6 @@ expPs16(__m512 x)
 } // anonymous namespace
 
 void
-dotHeadsAvx512(const float *q, const float *row, size_t hd,
-               unsigned n_heads, unsigned group, double *out)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        const float *a = q + h * hd;
-        const float *b = row + (h / group) * hd;
-        __m512d s0 = _mm512_setzero_pd();
-        __m512d s1 = _mm512_setzero_pd();
-        size_t c = 0;
-        for (; c + 16 <= hd; c += 16) {
-            s0 = _mm512_fmadd_pd(loadPs8(a + c), loadPs8(b + c), s0);
-            s1 = _mm512_fmadd_pd(loadPs8(a + c + 8),
-                                 loadPs8(b + c + 8), s1);
-        }
-        if (c + 8 <= hd) {
-            s0 = _mm512_fmadd_pd(loadPs8(a + c), loadPs8(b + c), s0);
-            c += 8;
-        }
-        double dot = _mm512_reduce_add_pd(_mm512_add_pd(s0, s1));
-        for (; c < hd; ++c)
-            dot += static_cast<double>(a[c]) * b[c];
-        out[h] = dot;
-    }
-}
-
-void
-accumHeadsAvx512(const double *p, const float *row, size_t hd,
-                 unsigned n_heads, unsigned group, double *acc)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        __m512d pv = _mm512_set1_pd(p[h]);
-        const float *vr = row + (h / group) * hd;
-        double *ar = acc + h * hd;
-        size_t c = 0;
-        for (; c + 8 <= hd; c += 8)
-            _mm512_storeu_pd(
-                ar + c, _mm512_fmadd_pd(pv, loadPs8(vr + c),
-                                        _mm512_loadu_pd(ar + c)));
-        for (; c < hd; ++c)
-            ar[c] += p[h] * vr[c];
-    }
-}
-
-void
 decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
                  size_t n_rows, size_t stride, float *out)
 {
@@ -224,9 +180,9 @@ decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
         // permutes' latency.
         for (; g + 2 <= gpr; g += 2) {
             float s0 =
-                tab.lut->e8m0Value[t.scaleCode(row0 + r, g)];
+                tab.lut->scaleValue[t.scaleCode(row0 + r, g)];
             float s1 =
-                tab.lut->e8m0Value[t.scaleCode(row0 + r, g + 1)];
+                tab.lut->scaleValue[t.scaleCode(row0 + r, g + 1)];
             __m512i mb0 =
                 _mm512_set1_epi32(t.groupMetaByte(row0 + r, g));
             __m512i mb1 =
@@ -270,7 +226,7 @@ decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,
         }
         for (; g < gpr; ++g) {
             float sval =
-                tab.lut->e8m0Value[t.scaleCode(row0 + r, g)];
+                tab.lut->scaleValue[t.scaleCode(row0 + r, g)];
             __m512i mb =
                 _mm512_set1_epi32(t.groupMetaByte(row0 + r, g));
             __m128i raw = _mm_loadu_si128(
@@ -317,9 +273,8 @@ scorePageAvx512(const float *q, const float *rows, size_t stride,
         size_t r = 0;
         // Two rows per iteration: four independent FMA chains hide
         // the FMA latency and overlap the horizontal reductions.
-        // Each row's chain structure is exactly dotHeadsAvx512's,
-        // so per-score results stay bit-identical to the per-row
-        // primitive.
+        // Each row keeps the single-row loop's chain structure, so
+        // a score's bits do not depend on the row pairing.
         for (; r + 2 <= n_rows; r += 2) {
             const float *b0 = base + r * stride;
             const float *b1 = b0 + stride;
@@ -407,8 +362,7 @@ namespace {
  * registers (NR*8 channels) walk the page's rows once. A single
  * chain per register means the row walk would be FMA-latency-bound;
  * NR independent chains push it to FMA throughput instead. Per
- * channel lane the adds stay in ascending-row order — bit-identical
- * to accumHeadsAvx512 called per ascending row.
+ * channel lane the adds stay in ascending-row order.
  */
 template <int NR>
 inline void

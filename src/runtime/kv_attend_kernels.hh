@@ -7,7 +7,7 @@
  * primitives per cached row: the per-head score dot q_h · k_h, the
  * exponential weighting p_r = exp(s_r - m) of one head's page-local
  * scores against the running max, and the per-head value
- * accumulation acc_h += p_h * v_h. Dots and accumulations run in
+ * accumulation acc_h += p_r * v_r. Dots and accumulations run in
  * double precision — the scalar tier with independent plain-C
  * chains, the AVX2+FMA tier with 4-wide and the AVX-512 tier with
  * 8-wide double FMA vectors — so the difference vs the oracle's
@@ -19,20 +19,19 @@
  * the packed model tolerance (1e-5) but not bitwise — which is why
  * the fp32 bit-exact path never calls expWeights.
  *
- * The flash attend drives the three of them through page-granular
- * batch entry points — decodeRows / scorePage / accumPage — one
+ * The flash attend drives them through page-granular batch entry
+ * points — decodeRows / scorePage / expWeights / accumPage — one
  * call per (query, page) instead of one per cached row, so the
  * per-row cost is pure kernel arithmetic: no indirect calls, no
  * head-major scatter/gather staging, and the value accumulator
  * stays register-resident across the page. decodeRows is the page
- * form of the packed GEMM's decodeActivationRow
+ * form of the packed GEMM's activation row decode
  * (packed_gemm_kernels.hh) — same streams, bit-identical floats;
+ * the scalar tier runs codecDecodeRows (runtime/codec_traits), and
  * the AVX-512 tier decodes a whole 32-element group per pair of
  * 16-lane table permutes instead of the 8-wide AVX2 scheme, which
  * is what makes long-context attend decode-bound rather than
- * overhead-bound. The per-row primitives remain — the legacy
- * (pre-flash) attend paths and the kernel parity tests call them
- * directly.
+ * overhead-bound.
  *
  * Grouped-query attention threads through as @p group: query head h
  * reads K/V head h / group, so a K/V row carries n_heads / group
@@ -85,26 +84,6 @@ struct PagedKvView
 };
 
 /**
- * Per-head score dots of one query row against one decoded cache
- * row: out[h] = sum_c q[h*hd + c] * row[(h/group)*hd + c] (double
- * accumulation, result still in double — the caller applies the
- * float cast and 1/sqrt(hd) scaling in the oracle's order).
- */
-using DotHeadsFn = void (*)(const float *q, const float *row,
-                            size_t hd, unsigned n_heads,
-                            unsigned group, double *out);
-
-/**
- * Per-head value accumulation of one decoded cache row:
- * acc[h*hd + c] += p[h] * row[(h/group)*hd + c] for every head and
- * channel, each channel's chain staying in ascending-row order
- * across calls.
- */
-using AccumHeadsFn = void (*)(const double *p, const float *row,
-                              size_t hd, unsigned n_heads,
-                              unsigned group, double *acc);
-
-/**
  * Exponential weights of one head's page-local scores against the
  * (already updated) running max: p[r] = exp(s[r] - m) for r in
  * [0, n). Every s[r] <= m by construction, so the result is in
@@ -118,8 +97,8 @@ using ExpWeightsFn = void (*)(const double *s, double m, size_t n,
  * Decode @p n_rows consecutive rows of one packed page into a dense
  * float slab: row local @p row0 + r lands at out + r * stride
  * (stride >= groupsPerRow * 32 — tail-group padding included, like
- * decodeActivationRow). Bit-identical to the scalar LUT decode on
- * every tier.
+ * the GEMM's activation row decode). Bit-identical to
+ * codecDecodeRows on every tier.
  */
 using DecodeRowsFn = void (*)(const PackedM2xfpTensor &t, size_t row0,
                               size_t n_rows, size_t stride,
@@ -129,8 +108,8 @@ using DecodeRowsFn = void (*)(const PackedM2xfpTensor &t, size_t row0,
  * Score one query row against a decoded page slab: for every head,
  * scores[h * s_stride + r] = (q_h · rows_r,h) * inv_sqrt for r in
  * [0, n_rows), and smax[h] = max_r of that head's page scores. Dots
- * accumulate in double with the same chain structure as DotHeadsFn,
- * so per-score results are bit-identical to the per-row primitive.
+ * accumulate in double: the scalar tier in four interleaved chains,
+ * the vector tiers in two FMA vector chains reduced at the end.
  */
 using ScorePageFn = void (*)(const float *q, const float *rows,
                              size_t stride, size_t n_rows, size_t hd,
@@ -141,8 +120,7 @@ using ScorePageFn = void (*)(const float *q, const float *rows,
 /**
  * Accumulate one query's weighted page values: acc[h*hd + c] +=
  * sum_r w[h * w_stride + r] * rows[r * stride + (h/group)*hd + c],
- * each channel's additions in ascending-row order — bit-identical
- * to calling AccumHeadsFn per ascending row, but with the
+ * each channel's additions in ascending-row order, with the
  * accumulator held in registers across the page.
  */
 using AccumPageFn = void (*)(const double *w, size_t w_stride,
@@ -154,8 +132,6 @@ using AccumPageFn = void (*)(const double *w, size_t w_stride,
 /** The per-ISA primitive set used by KvCache::attend. */
 struct AttendKernels
 {
-    DotHeadsFn dotHeads;
-    AccumHeadsFn accumHeads;
     ExpWeightsFn expWeights;
     DecodeRowsFn decodeRows;
     ScorePageFn scorePage;
@@ -168,15 +144,10 @@ struct AttendKernels
  */
 const AttendKernels &attendKernels(SimdIsa isa);
 
-/** @{ Scalar tier: independent plain-C chains, libm double exp. */
-void dotHeadsScalar(const float *q, const float *row, size_t hd,
-                    unsigned n_heads, unsigned group, double *out);
-void accumHeadsScalar(const double *p, const float *row, size_t hd,
-                      unsigned n_heads, unsigned group, double *acc);
+/** @{ Scalar tier: independent plain-C chains, libm double exp; its
+ *  page decode is codecDecodeRows. */
 void expWeightsScalar(const double *s, double m, size_t n,
                       double *p);
-void decodeRowsScalar(const PackedM2xfpTensor &t, size_t row0,
-                      size_t n_rows, size_t stride, float *out);
 void scorePageScalar(const float *q, const float *rows,
                      size_t stride, size_t n_rows, size_t hd,
                      unsigned n_heads, unsigned group,
@@ -190,10 +161,6 @@ void accumPageScalar(const double *w, size_t w_stride,
 
 #ifdef M2X_HAVE_AVX2
 /** @{ AVX2+FMA tier: 4-wide double FMA chains, 8-wide float exp. */
-void dotHeadsAvx2(const float *q, const float *row, size_t hd,
-                  unsigned n_heads, unsigned group, double *out);
-void accumHeadsAvx2(const double *p, const float *row, size_t hd,
-                    unsigned n_heads, unsigned group, double *acc);
 void expWeightsAvx2(const double *s, double m, size_t n, double *p);
 void decodeRowsAvx2(const PackedM2xfpTensor &t, size_t row0,
                     size_t n_rows, size_t stride, float *out);
@@ -211,10 +178,6 @@ void accumPageAvx2(const double *w, size_t w_stride,
 #ifdef M2X_HAVE_AVX512
 /** @{ AVX-512 tier: 8-wide double FMA chains, 16-wide float exp,
  * whole-group table-permute page decode. */
-void dotHeadsAvx512(const float *q, const float *row, size_t hd,
-                    unsigned n_heads, unsigned group, double *out);
-void accumHeadsAvx512(const double *p, const float *row, size_t hd,
-                      unsigned n_heads, unsigned group, double *acc);
 void expWeightsAvx512(const double *s, double m, size_t n,
                       double *p);
 void decodeRowsAvx512(const PackedM2xfpTensor &t, size_t row0,

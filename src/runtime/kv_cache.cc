@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <vector>
 
-#include "model/softmax.hh"
 #include "runtime/codec_traits.hh"
-#include "runtime/decode_lut.hh"
 #include "runtime/kv_attend_kernels.hh"
-#include "runtime/packed_gemm_kernels.hh"
 #include "runtime/telemetry.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -22,55 +18,10 @@ namespace runtime {
 namespace detail {
 
 void
-dotHeadsScalar(const float *q, const float *row, size_t hd,
-               unsigned n_heads, unsigned group, double *out)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        const float *a = q + h * hd;
-        const float *b = row + (h / group) * hd;
-        // Four independent chains: double-ulp reassociation vs the
-        // oracle's single ascending chain, real ILP instead of one
-        // latency-bound multiply-add at a time.
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        size_t c = 0;
-        for (; c + 4 <= hd; c += 4) {
-            s0 += static_cast<double>(a[c]) * b[c];
-            s1 += static_cast<double>(a[c + 1]) * b[c + 1];
-            s2 += static_cast<double>(a[c + 2]) * b[c + 2];
-            s3 += static_cast<double>(a[c + 3]) * b[c + 3];
-        }
-        for (; c < hd; ++c)
-            s0 += static_cast<double>(a[c]) * b[c];
-        out[h] = (s0 + s1) + (s2 + s3);
-    }
-}
-
-void
-accumHeadsScalar(const double *p, const float *row, size_t hd,
-                 unsigned n_heads, unsigned group, double *acc)
-{
-    for (unsigned h = 0; h < n_heads; ++h) {
-        double ph = p[h];
-        const float *vr = row + (h / group) * hd;
-        double *ar = acc + h * hd;
-        for (size_t c = 0; c < hd; ++c)
-            ar[c] += ph * vr[c];
-    }
-}
-
-void
 expWeightsScalar(const double *s, double m, size_t n, double *p)
 {
     for (size_t r = 0; r < n; ++r)
         p[r] = std::exp(s[r] - m);
-}
-
-void
-decodeRowsScalar(const PackedM2xfpTensor &t, size_t row0,
-                 size_t n_rows, size_t stride, float *out)
-{
-    for (size_t r = 0; r < n_rows; ++r)
-        decodeActivationRow(t, row0 + r, out + r * stride);
 }
 
 void
@@ -85,8 +36,9 @@ scorePageScalar(const float *q, const float *rows, size_t stride,
         double *sh = scores + h * s_stride;
         double mx = -std::numeric_limits<double>::infinity();
         for (size_t r = 0; r < n_rows; ++r) {
-            // Same four-chain dot as dotHeadsScalar, so per-score
-            // results are bit-identical to the per-row primitive.
+            // Four independent chains: double-ulp reassociation vs
+            // the fp32 oracle's single ascending chain, real ILP
+            // instead of one latency-bound multiply-add at a time.
             const float *b = base + r * stride;
             double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
             size_t c = 0;
@@ -115,9 +67,8 @@ accumPageScalar(const double *w, size_t w_stride, const float *rows,
         const double *wh = w + h * w_stride;
         const float *base = rows + (h / group) * hd;
         double *ar = acc + h * hd;
-        // Channel-outer, row-inner: each channel's chain still adds
-        // in ascending-row order, so the sum is bit-identical to
-        // accumHeadsScalar called once per ascending row.
+        // Channel-outer, row-inner: each channel's chain adds in
+        // ascending-row order.
         for (size_t c = 0; c < hd; ++c) {
             double s = ar[c];
             for (size_t r = 0; r < n_rows; ++r)
@@ -130,20 +81,19 @@ accumPageScalar(const double *w, size_t w_stride, const float *rows,
 const AttendKernels &
 attendKernels(SimdIsa isa)
 {
-    static const AttendKernels scalar{
-        &dotHeadsScalar,   &accumHeadsScalar, &expWeightsScalar,
-        &decodeRowsScalar, &scorePageScalar,  &accumPageScalar};
+    static const AttendKernels scalar{&expWeightsScalar, &codecDecodeRows,
+                                      &scorePageScalar, &accumPageScalar};
 #ifdef M2X_HAVE_AVX2
-    static const AttendKernels avx2{
-        &dotHeadsAvx2,   &accumHeadsAvx2, &expWeightsAvx2,
-        &decodeRowsAvx2, &scorePageAvx2,  &accumPageAvx2};
+    static const AttendKernels avx2{&expWeightsAvx2, &decodeRowsAvx2,
+                                    &scorePageAvx2, &accumPageAvx2};
     if (isa == SimdIsa::Avx2)
         return avx2;
 #endif
 #ifdef M2X_HAVE_AVX512
-    static const AttendKernels avx512{
-        &dotHeadsAvx512,   &accumHeadsAvx512, &expWeightsAvx512,
-        &decodeRowsAvx512, &scorePageAvx512,  &accumPageAvx512};
+    static const AttendKernels avx512{&expWeightsAvx512,
+                                      &decodeRowsAvx512,
+                                      &scorePageAvx512,
+                                      &accumPageAvx512};
     if (isa == SimdIsa::Avx512)
         return avx512;
 #endif
@@ -224,10 +174,9 @@ KvCache::KvCache(KvPageArena &arena, size_t n_layers)
 }
 
 KvCache::KvCache(size_t n_layers, size_t d_model, KvCacheMode mode,
-                 M2xfpConfig fmt, SimdIsa isa, PackedCodec codec)
+                 SimdIsa isa, PackedCodec codec)
     : owned_(std::make_unique<KvPageArena>(
-          d_model, mode, fmt, isa,
-          KvArenaConfig{.codec = codec})),
+          d_model, mode, isa, KvArenaConfig{.codec = codec})),
       arena_(owned_.get())
 {
     m2x_assert(n_layers > 0 && d_model > 0,
@@ -397,30 +346,6 @@ KvCache::attend(size_t layer, const float *q, size_t n_rows,
     else
         attendPacked(l, q, n_rows, pos0, n_heads, n_kv_heads, window,
                      ctx, tp);
-}
-
-void
-KvCache::attendLegacy(size_t layer, const float *q, size_t n_rows,
-                      size_t pos0, unsigned n_heads, float *ctx,
-                      ThreadPool *pool) const
-{
-    m2x_assert(layer < layers_.size(), "layer %zu out of %zu", layer,
-               layers_.size());
-    m2x_assert(n_heads > 0 && dModel() % n_heads == 0,
-               "d_model %zu not divisible into %u heads", dModel(),
-               n_heads);
-    const Layer &l = layers_[layer];
-    m2x_assert(pos0 + n_rows <= l.rows,
-               "attend over rows [%zu, %zu) but layer %zu holds only "
-               "%zu (append the chunk first)", pos0, pos0 + n_rows,
-               layer, l.rows);
-    if (n_rows == 0)
-        return;
-    ThreadPool &tp = pool ? *pool : ThreadPool::global();
-    if (mode() == KvCacheMode::Fp32)
-        attendFp32Legacy(l, q, n_rows, pos0, n_heads, ctx, tp);
-    else
-        attendPackedLegacy(l, q, n_rows, pos0, n_heads, ctx, tp);
 }
 
 /*
@@ -695,143 +620,6 @@ KvCache::attendPacked(const Layer &l, const float *q, size_t n_rows,
                             static_cast<float>(ah[c] * inv_l);
                 }
             }
-        }
-    });
-}
-
-/*
- * The pre-flash paths, kept verbatim as the long-context bench's
- * measured baseline (classic MHA over the full causal prefix).
- * Fp32: heads fully independent, full score vector per query row,
- * the reference two-pass softmax. Packed: blocked kernel with an
- * O(block · heads · context) score slab. Neither participates in
- * the scratch-peak accounting — the O(context) slab is exactly the
- * regression attendScratchPeakBytes guards against.
- */
-void
-KvCache::attendFp32Legacy(const Layer &l, const float *q,
-                          size_t n_rows, size_t pos0,
-                          unsigned n_heads, float *ctx,
-                          ThreadPool &pool) const
-{
-    size_t d = dModel();
-    size_t hd = d / n_heads;
-    float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-    detail::PagedKvView kview{arena_, l.k.data()};
-    detail::PagedKvView vview{arena_, l.v.data()};
-
-    pool.parallelFor(0, n_heads, 1, [&](size_t h0, size_t h1) {
-        thread_local std::vector<float> scores;
-        scores.resize(pos0 + n_rows);
-        for (size_t h = h0; h < h1; ++h) {
-            size_t off = h * hd;
-            for (size_t i = 0; i < n_rows; ++i) {
-                const float *qr = q + i * d + off;
-                size_t valid = pos0 + i + 1;
-                for (size_t j = 0; j < valid; ++j) {
-                    double dot = 0.0;
-                    const float *kr = kview.fp32Row(j) + off;
-                    for (size_t c = 0; c < hd; ++c)
-                        dot += static_cast<double>(qr[c]) * kr[c];
-                    scores[j] = static_cast<float>(dot) * inv_sqrt;
-                }
-                model::attentionSoftmax(scores.data(), valid);
-                for (size_t c = 0; c < hd; ++c) {
-                    double acc = 0.0;
-                    for (size_t j = 0; j < valid; ++j)
-                        acc += static_cast<double>(scores[j]) *
-                               vview.fp32Row(j)[off + c];
-                    ctx[i * d + off + c] = static_cast<float>(acc);
-                }
-            }
-        }
-    });
-}
-
-void
-KvCache::attendPackedLegacy(const Layer &l, const float *q,
-                            size_t n_rows, size_t pos0,
-                            unsigned n_heads, float *ctx,
-                            ThreadPool &pool) const
-{
-    size_t d = dModel();
-    size_t hd = d / n_heads;
-    float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-    size_t padded_d = arena_->groupsPerRow() *
-                      packedCodecInfo(arena_->codec()).groupSize;
-    const detail::GemmKernels &gemm = detail::gemmKernels(simdIsa());
-    detail::DecodeRowFn decode_row =
-        arena_->codec() == PackedCodec::ElemEm
-            ? gemm.decodeActivationRow
-            : &codecDecodeActivationRow;
-    const detail::AttendKernels &kern =
-        detail::attendKernels(simdIsa());
-    detail::PagedKvView kview{arena_, l.k.data()};
-    detail::PagedKvView vview{arena_, l.v.data()};
-    size_t n_blocks = ceilDiv(n_rows, attendBlock);
-
-    pool.parallelFor(0, n_blocks, 1, [&](size_t b0, size_t b1) {
-        thread_local std::vector<float> rowbuf;
-        thread_local std::vector<float> scores;
-        thread_local std::vector<double> acc;
-        thread_local std::vector<double> heads;
-        rowbuf.resize(padded_d);
-        heads.resize(n_heads);
-        for (size_t blk = b0; blk < b1; ++blk) {
-            size_t i0 = blk * attendBlock;
-            size_t bn = std::min(attendBlock, n_rows - i0);
-            // Rows visible to the block's last query; earlier
-            // queries mask the tail per-j below.
-            size_t len = pos0 + i0 + bn;
-            scores.resize(bn * n_heads * len);
-
-            // Score pass: decode each cached K row once, dot it
-            // against every (query, head) it is visible to.
-            for (size_t j = 0; j < len; ++j) {
-                size_t local;
-                const PackedM2xfpTensor &kp = kview.packedOf(j, local);
-                decode_row(kp, local, rowbuf.data());
-                size_t i_start =
-                    j > pos0 + i0 ? j - (pos0 + i0) : 0;
-                for (size_t i = i_start; i < bn; ++i) {
-                    kern.dotHeads(q + (i0 + i) * d, rowbuf.data(),
-                                  hd, n_heads, 1, heads.data());
-                    for (unsigned h = 0; h < n_heads; ++h)
-                        scores[(i * n_heads + h) * len + j] =
-                            static_cast<float>(heads[h]) * inv_sqrt;
-                }
-            }
-
-            for (size_t i = 0; i < bn; ++i) {
-                size_t valid = pos0 + i0 + i + 1;
-                for (unsigned h = 0; h < n_heads; ++h)
-                    model::attentionSoftmax(
-                        scores.data() + (i * n_heads + h) * len,
-                        valid);
-            }
-
-            // Value pass: decode each cached V row once; per output
-            // channel the accumulation stays a single ascending-j
-            // double chain (now fused), like the oracle.
-            acc.assign(bn * d, 0.0);
-            for (size_t j = 0; j < len; ++j) {
-                size_t local;
-                const PackedM2xfpTensor &vp = vview.packedOf(j, local);
-                decode_row(vp, local, rowbuf.data());
-                size_t i_start =
-                    j > pos0 + i0 ? j - (pos0 + i0) : 0;
-                for (size_t i = i_start; i < bn; ++i) {
-                    for (unsigned h = 0; h < n_heads; ++h)
-                        heads[h] = scores[(i * n_heads + h) * len +
-                                          j];
-                    kern.accumHeads(heads.data(), rowbuf.data(), hd,
-                                    n_heads, 1, acc.data() + i * d);
-                }
-            }
-            for (size_t i = 0; i < bn; ++i)
-                for (size_t c = 0; c < d; ++c)
-                    ctx[(i0 + i) * d + c] =
-                        static_cast<float>(acc[i * d + c]);
         }
     });
 }

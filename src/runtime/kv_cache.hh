@@ -64,7 +64,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/m2xfp.hh"
 #include "core/m2xfp_packed.hh"
 #include "runtime/kv_page_arena.hh"
 #include "runtime/simd.hh"
@@ -92,12 +91,11 @@ class KvCache
      * @param d_model row width; must divide evenly into the heads
      *        at attend() time
      * @param mode    resident representation
-     * @param fmt     packed-mode codec config (paper layout only)
      * @param isa     kernel tier for packed-mode encode/decode
      * @param codec   packed-mode stream codec (the format axis)
      */
     KvCache(size_t n_layers, size_t d_model, KvCacheMode mode,
-            M2xfpConfig fmt = {}, SimdIsa isa = activeSimdIsa(),
+            SimdIsa isa = activeSimdIsa(),
             PackedCodec codec = PackedCodec::ElemEm);
 
     ~KvCache();
@@ -167,18 +165,6 @@ class KvCache
                 size_t window = 0) const;
 
     /**
-     * The pre-flash attend (PR 5–8): materializes the full
-     * O(context) score vector per query row and runs the two-pass
-     * reference softmax. Classic MHA over the full causal prefix
-     * only — kept as the measured baseline for the long-context
-     * bench trajectory (old-attend vs flash-attend ratio), not used
-     * by any decode path.
-     */
-    void attendLegacy(size_t layer, const float *q, size_t n_rows,
-                      size_t pos0, unsigned n_heads, float *ctx,
-                      ThreadPool *pool = nullptr) const;
-
-    /**
      * Return to the arena every page that lies wholly below cache
      * row @p row, in every layer (sliding-window retirement: once
      * all queries' windows have moved past a page it can never be
@@ -245,14 +231,6 @@ class KvCache
                       size_t pos0, unsigned n_heads,
                       unsigned n_kv_heads, size_t window, float *ctx,
                       ThreadPool &pool) const;
-    void attendFp32Legacy(const Layer &l, const float *q,
-                          size_t n_rows, size_t pos0,
-                          unsigned n_heads, float *ctx,
-                          ThreadPool &pool) const;
-    void attendPackedLegacy(const Layer &l, const float *q,
-                            size_t n_rows, size_t pos0,
-                            unsigned n_heads, float *ctx,
-                            ThreadPool &pool) const;
 
     std::unique_ptr<KvPageArena> owned_; //!< standalone shape only
     KvPageArena *arena_;
@@ -265,9 +243,7 @@ class KvCache
  * The flash attend's defining property is that this is bounded by
  * O(pageRows · nHeads + queryBlock · dModel) independent of context
  * length — tests assert it and DecodeSession exports it as the
- * decode.attend_scratch_bytes gauge. attendLegacy is deliberately
- * excluded: its O(context) scores vector is the regression this
- * measures against.
+ * decode.attend_scratch_bytes gauge.
  */
 size_t attendScratchPeakBytes();
 void resetAttendScratchPeak();

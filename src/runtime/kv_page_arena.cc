@@ -27,15 +27,13 @@ kvCacheModeName(KvCacheMode mode)
     return mode == KvCacheMode::Fp32 ? "fp32" : "packed";
 }
 
-KvPageArena::KvPageArena(size_t d_model, KvCacheMode mode,
-                         M2xfpConfig fmt, SimdIsa isa,
+KvPageArena::KvPageArena(size_t d_model, KvCacheMode mode, SimdIsa isa,
                          KvArenaConfig cfg)
     : mode_(mode), dModel_(d_model), isa_(isa),
       pageRows_(cfg.pageRows), capacityPages_(cfg.capacityPages),
       codec_(cfg.codec),
       groupsPerRow_(ceilDiv(d_model,
-                            size_t{packedCodecInfo(cfg.codec).groupSize})),
-      actQ_(fmt.activationConfig())
+                            size_t{packedCodecInfo(cfg.codec).groupSize}))
 {
     m2x_assert(d_model > 0, "KvPageArena needs d_model > 0");
     m2x_assert(pageRows_ > 0, "KvPageArena needs pageRows > 0");
@@ -88,9 +86,6 @@ KvPageArena::allocPage()
     Page &p = chunk[id % chunkPages];
     if (mode_ == KvCacheMode::Fp32) {
         p.f32.resize(pageRows_ * dModel_);
-    } else if (codec_ == PackedCodec::ElemEm) {
-        p.packed = PackedM2xfpTensor::emptyActivations(dModel_, actQ_);
-        p.packed.reserveActivationRows(pageRows_);
     } else {
         p.packed =
             PackedM2xfpTensor::emptyActivationsCodec(dModel_, codec_);
@@ -170,14 +165,11 @@ KvPageArena::appendRows(KvPageId id, const float *rows, size_t n,
     m2x_assert(p.used + n <= pageRows_,
                "KvPageArena: append of %zu rows overflows page %u "
                "(%zu/%zu used)", n, id, p.used, pageRows_);
-    if (mode_ == KvCacheMode::Fp32) {
+    if (mode_ == KvCacheMode::Fp32)
         std::memcpy(p.f32.data() + p.used * dModel_, rows,
                     n * dModel_ * sizeof(float));
-    } else if (codec_ == PackedCodec::ElemEm) {
-        p.packed.appendActivationRows(rows, n, actQ_, isa_, pool);
-    } else {
+    else
         p.packed.appendActivationRowsCodec(rows, n, isa_, pool);
-    }
     p.used += n;
 }
 

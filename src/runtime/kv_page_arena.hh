@@ -49,7 +49,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/m2xfp.hh"
 #include "core/m2xfp_packed.hh"
 #include "runtime/simd.hh"
 
@@ -86,9 +85,9 @@ struct KvArenaConfig
      */
     size_t capacityPages = 0;
     /**
-     * Packed-mode stream codec. ElemEm keeps the per-ISA SIMD row
-     * encoder (byte-exact legacy behavior); other codecs append
-     * through their functional row encoders via the codec seam.
+     * Packed-mode stream codec. Rows append through the codec entry
+     * points: the per-ISA SIMD row encoder for ElemEm, the
+     * functional row encoders for the other codecs.
      */
     PackedCodec codec = PackedCodec::ElemEm;
 };
@@ -100,11 +99,10 @@ class KvPageArena
     /**
      * @param d_model row width of every page
      * @param mode    resident representation of the rows
-     * @param fmt     packed-mode codec config (paper layout only)
      * @param isa     kernel tier for packed-mode encode
      * @param cfg     page geometry + capacity
      */
-    KvPageArena(size_t d_model, KvCacheMode mode, M2xfpConfig fmt = {},
+    KvPageArena(size_t d_model, KvCacheMode mode,
                 SimdIsa isa = activeSimdIsa(), KvArenaConfig cfg = {});
 
     KvPageArena(const KvPageArena &) = delete;
@@ -163,8 +161,8 @@ class KvPageArena
     /**
      * Encode-and-append @p n row-major rows (dModel() floats each)
      * onto page @p id. The caller owns the page and must leave room:
-     * pageUsed(id) + n <= pageRows(). Packed mode runs the fast-path
-     * Elem-EM encoder on this arena's ISA tier; multi-row appends
+     * pageUsed(id) + n <= pageRows(). Packed mode runs the codec's
+     * row encoder on this arena's ISA tier; multi-row appends
      * distribute over @p pool (null = the global pool).
      */
     void appendRows(KvPageId id, const float *rows, size_t n,
@@ -214,7 +212,6 @@ class KvPageArena
     size_t capacityPages_;
     PackedCodec codec_;
     size_t groupsPerRow_;
-    ElemEmQuantizer actQ_; //!< packed-mode elem_em row codec
 
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<Page[]>> chunks_; //!< fixed-size dir

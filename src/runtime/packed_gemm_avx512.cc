@@ -11,7 +11,7 @@
  * staged in one xmm and expanded to per-lane scale vectors with a
  * second permutexvar, keeping the multiply order identical to the
  * scalar decode (value * (sval * mult)), so the decoded floats are
- * bit-identical to runtime/decode_lut (asserted by
+ * bit-identical to the codec_traits generic kernels (asserted by
  * tests/runtime/simd_test.cc). Activation-role row decode is shared
  * with the AVX2 tier: its Elem-EM top-1 fix-up is already
  * vectorized there and bit-identical, and re-deriving it per ISA
@@ -36,7 +36,7 @@
 
 #include <algorithm>
 
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "util/logging.hh"
 
@@ -51,7 +51,7 @@ constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
 /** Scalar tables plus their vector-register forms. */
 struct Avx512Tables
 {
-    const DecodeTables *lut;
+    const CodecTraits *lut;
     __m512 fp4Value;     //!< the full 16-entry FP4 table
     __m512i sgIdxLo;     //!< lane -> subgroup index, elements 0..15
     __m512i sgIdxHi;     //!< same for elements 16..31
@@ -61,7 +61,7 @@ const Avx512Tables &
 tables()
 {
     static const Avx512Tables t = [] {
-        const DecodeTables &lut = DecodeTables::get();
+        const CodecTraits &lut = CodecTraits::get(PackedCodec::ElemEm);
         return Avx512Tables{
             &lut, _mm512_loadu_ps(lut.fp4Value),
             _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0,
@@ -134,16 +134,16 @@ decodeWeightGroupAvx512(const PackedM2xfpTensor &t, size_t row,
                         size_t group, float *out)
 {
     const Avx512Tables &tab = tables();
-    float sval = tab.lut->e8m0Value[t.scaleCode(row, group)];
+    float sval = tab.lut->scaleValue[t.scaleCode(row, group)];
     uint8_t meta = t.groupMetaByte(row, group);
 
     // The four subgroup scales, premultiplied exactly like the
     // scalar decode, then fanned out to their 8-lane spans.
     __m128 s4 = _mm_setr_ps(
-        sval * tab.lut->sgEmMult[meta & 0x3u],
-        sval * tab.lut->sgEmMult[(meta >> 2) & 0x3u],
-        sval * tab.lut->sgEmMult[(meta >> 4) & 0x3u],
-        sval * tab.lut->sgEmMult[(meta >> 6) & 0x3u]);
+        sval * tab.lut->subMult[meta & 0x3u],
+        sval * tab.lut->subMult[(meta >> 2) & 0x3u],
+        sval * tab.lut->subMult[(meta >> 4) & 0x3u],
+        sval * tab.lut->subMult[(meta >> 6) & 0x3u]);
     __m512 s16 = _mm512_castps128_ps512(s4);
     __m512 scale_lo = _mm512_permutexvar_ps(tab.sgIdxLo, s16);
     __m512 scale_hi = _mm512_permutexvar_ps(tab.sgIdxHi, s16);

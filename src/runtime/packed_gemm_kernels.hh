@@ -46,11 +46,9 @@
  * vector tiers use FMA and sweep the zero-padded tail (verified to
  * tight tolerance against the scalar tier by
  * tests/runtime/simd_test.cc). All tiers decode identical values:
- * the vector LUT decodes are bit-identical to runtime/decode_lut.
- *
- * The PR3 tile-at-a-time driver is kept as
- * detail::packedMatmulNtTiled — the committed-trajectory baseline
- * the bench's blocked_vs_pr3 ratios are measured against.
+ * the scalar tier runs the runtime/codec_traits generic kernels, and
+ * the vector decodes load the same CodecTraits tables and are
+ * bit-identical to them.
  *
  * Not installed API — tests include it for direct kernel access.
  */
@@ -69,15 +67,10 @@ namespace m2x {
 namespace runtime {
 namespace detail {
 
-/** Legacy (PR3) output tile height and width per task. */
-constexpr size_t gemmTileM = 16;
-constexpr size_t gemmTileN = 16;
-
 /**
  * The cache-block hierarchy of the panel GEMM. mr/nr are the
- * register tile compiled into the ISA's microkernel and cannot be
- * overridden; mc/kc/nc are the cache blocks (defaults per ISA,
- * overridable via M2X_GEMM_MC/KC/NC — see gemmBlocking()).
+ * register tile compiled into the ISA's microkernel; mc/kc/nc are
+ * the cache blocks (one set per ISA, see gemmBlocking()).
  */
 struct GemmBlocking
 {
@@ -137,16 +130,6 @@ void decodeWeightTileGeneric(DecodeGroupFn decode, size_t nr,
                              size_t jlim, size_t g0, size_t g1,
                              double *tile);
 
-/**
- * Legacy PR3 tile kernel: rows [i0, i0+mt) x cols [j0, j0+nt) of c,
- * with the decoded A tile already in abuf (mt rows of padded_k
- * floats). k is the true (unpadded) depth.
- */
-using TileKernelFn = void (*)(const PackedM2xfpTensor &w,
-                              const float *abuf, size_t padded_k,
-                              size_t i0, size_t mt, size_t j0,
-                              size_t nt, size_t k, Matrix &c);
-
 /** The per-ISA kernel set used by packedMatmulNt. */
 struct GemmKernels
 {
@@ -154,8 +137,7 @@ struct GemmKernels
     DecodeRowFn decodeWeightRow;
     DecodeTileFn decodeWeightTile; //!< sliver driver's W decode
     MicroKernelFn microKernel;
-    TileKernelFn computeTile; //!< legacy PR3 tile kernel
-    GemmBlocking blocking;    //!< per-ISA default block hierarchy
+    GemmBlocking blocking; //!< per-ISA block hierarchy
     /** Vector tiers sweep the zero-padded K tail; the scalar oracle
      *  must exclude it to keep the reference summation chain. */
     bool accumulatePadding;
@@ -167,22 +149,17 @@ struct GemmKernels
  */
 const GemmKernels &gemmKernels(SimdIsa isa);
 
-/**
- * The block hierarchy packedMatmulNt uses for @p isa: the kernel
- * table's defaults with the M2X_GEMM_MC / M2X_GEMM_KC / M2X_GEMM_NC
- * environment overrides applied (parsed once per process; values are
- * rounded up to the register tile / decode group so no override can
- * break a kernel invariant, malformed values warn and are ignored).
- */
+/** The block hierarchy packedMatmulNt uses for @p isa: the kernel
+ *  table's. */
 GemmBlocking gemmBlocking(SimdIsa isa);
 
 /**
  * The blocked GEMM with an explicit block hierarchy — the bench's
  * per-block-size sweep and the block-boundary tests use this to pin
- * mc/kc/nc regardless of the environment. @p blocking must come from
- * normalizeBlocking() (or gemmBlocking()) for the same ISA. Calls
- * with M <= blocking.mc (one A block) run packedMatmulNtSlivers,
- * larger ones packedMatmulNtPanels; both give the same bits.
+ * mc/kc/nc. @p blocking must come from normalizeBlocking() (or
+ * gemmBlocking()) for the same ISA. Calls with M <= blocking.mc
+ * (one A block) run packedMatmulNtSlivers, larger ones
+ * packedMatmulNtPanels; both give the same bits.
  */
 void packedMatmulNtBlocked(const PackedM2xfpTensor &a,
                            const PackedM2xfpTensor &w, Matrix &c,
@@ -229,18 +206,9 @@ GemmBlocking normalizeBlocking(SimdIsa isa, size_t mc, size_t kc,
  */
 size_t packedGemmGrain(size_t n_ic, size_t n_jc, size_t lanes);
 
-/**
- * Legacy PR3 driver: tile-at-a-time K loop, W tile re-decoded for
- * every M tile. Kept (scalar and AVX2 tiers only) as the comparison
- * baseline for the bench's blocked_vs_pr3 ratios and the
- * blocked-vs-tiled parity tests.
- */
-void packedMatmulNtTiled(const PackedM2xfpTensor &a,
-                         const PackedM2xfpTensor &w, Matrix &c,
-                         ThreadPool *pool, SimdIsa isa);
-
 /** @{ Scalar tier: ascending-k double accumulation, the bit-exact
- *  oracle. */
+ *  oracle. Its row and group decodes are the codec_traits generic
+ *  kernels. */
 void microKernelScalar(const double *a, size_t a_stride,
                        const double *ws, size_t nr, size_t p0,
                        size_t p1, size_t mr_cur, double *acc,
@@ -248,9 +216,6 @@ void microKernelScalar(const double *a, size_t a_stride,
 void decodeWeightTileScalar(const PackedM2xfpTensor &w, size_t j0,
                             size_t jlim, size_t g0, size_t g1,
                             double *tile);
-void computeTileScalar(const PackedM2xfpTensor &w, const float *abuf,
-                       size_t padded_k, size_t i0, size_t mt,
-                       size_t j0, size_t nt, size_t k, Matrix &c);
 /** @} */
 
 #ifdef M2X_HAVE_AVX2
@@ -259,9 +224,6 @@ void microKernelAvx2(const double *a, size_t a_stride,
                      const double *ws, size_t nr, size_t p0,
                      size_t p1, size_t mr_cur, double *acc,
                      size_t acc_stride);
-void computeTileAvx2(const PackedM2xfpTensor &w, const float *abuf,
-                     size_t padded_k, size_t i0, size_t mt, size_t j0,
-                     size_t nt, size_t k, Matrix &c);
 
 void decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
                              float *out);
@@ -274,8 +236,8 @@ void decodeWeightTileAvx2(const PackedM2xfpTensor &w, size_t j0,
                           double *tile);
 
 /** @{
- * Vector group decodes, bit-identical to runtime/decode_lut —
- * exposed for the vector-vs-scalar exactness tests.
+ * Vector group decodes, bit-identical to the codec_traits generic
+ * kernels — exposed for the vector-vs-scalar exactness tests.
  */
 void decodeActivationGroupAvx2(const PackedM2xfpTensor &t, size_t row,
                                size_t group, float *out);

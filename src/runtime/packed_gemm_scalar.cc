@@ -9,13 +9,11 @@
  * accumulator (never a lane partial), so KC depth slicing preserves
  * the same single ascending chain per output; the driver clamps the
  * scalar depth sweep to the true k (accumulatePadding=false), which
- * keeps the zero-filled tail pad out of the chains entirely. The
- * legacy PR3 tile kernel below it backs detail::packedMatmulNtTiled.
+ * keeps the zero-filled tail pad out of the chains entirely. Decode
+ * is the codec_traits generic kernels.
  */
 
-#include <algorithm>
-
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/packed_gemm_kernels.hh"
 
 namespace m2x {
@@ -45,48 +43,8 @@ void
 decodeWeightTileScalar(const PackedM2xfpTensor &w, size_t j0, size_t jlim,
                        size_t g0, size_t g1, double *tile)
 {
-    decodeWeightTileGeneric(&decodeWeightGroup, 16, w, j0, jlim, g0, g1,
-                            tile);
-}
-
-void
-computeTileScalar(const PackedM2xfpTensor &w, const float *abuf,
-                  size_t padded_k, size_t i0, size_t mt, size_t j0,
-                  size_t nt, size_t k, Matrix &c)
-{
-    constexpr size_t groupSize = PackedM2xfpTensor::groupSize;
-
-    // Independent double accumulators: each c(i,j) still sums its
-    // products in ascending-k order (bit-exact vs matmulNt), but
-    // adjacent outputs interleave, hiding the FP add latency.
-    double acc[gemmTileM][gemmTileN] = {};
-    float wtile[groupSize * gemmTileN]; // transposed: [p][jj]
-    float wrow[groupSize];
-
-    size_t n_groups = padded_k / groupSize;
-    for (size_t g = 0; g < n_groups; ++g) {
-        size_t base = g * groupSize;
-        size_t glen = std::min(groupSize, k - base);
-        for (size_t jj = 0; jj < nt; ++jj) {
-            decodeWeightGroup(w, j0 + jj, g, wrow);
-            for (size_t p = 0; p < glen; ++p)
-                wtile[p * gemmTileN + jj] = wrow[p];
-        }
-        for (size_t p = 0; p < glen; ++p) {
-            const float *wp = wtile + p * gemmTileN;
-            for (size_t ii = 0; ii < mt; ++ii) {
-                double av = abuf[ii * padded_k + base + p];
-                double *arow = acc[ii];
-                for (size_t jj = 0; jj < nt; ++jj)
-                    arow[jj] += av * wp[jj];
-            }
-        }
-    }
-
-    for (size_t ii = 0; ii < mt; ++ii)
-        for (size_t jj = 0; jj < nt; ++jj)
-            c(i0 + ii, j0 + jj) =
-                static_cast<float>(acc[ii][jj]);
+    decodeWeightTileGeneric(&codecDecodeWeightGroup, 16, w, j0, jlim, g0,
+                            g1, tile);
 }
 
 } // namespace detail

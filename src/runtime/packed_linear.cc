@@ -1,5 +1,6 @@
 #include "runtime/packed_linear.hh"
 
+#include "core/sg_em.hh"
 #include "runtime/telemetry.hh"
 #include "util/logging.hh"
 
@@ -16,25 +17,21 @@ std::atomic<telemetry::Counter *> forwardRowsSlot{nullptr};
 
 } // anonymous namespace
 
-PackedLinear::PackedLinear(const Matrix &weight, M2xfpConfig cfg,
-                           ThreadPool *pool, SimdIsa isa,
-                           PackedCodec codec)
-    : actQ_(cfg.activationConfig()), weightQ_(cfg.weightConfig()),
-      inFeatures_(weight.cols()), outFeatures_(weight.rows()),
+PackedLinear::PackedLinear(const Matrix &weight, ThreadPool *pool,
+                           SimdIsa isa, PackedCodec codec)
+    : inFeatures_(weight.cols()), outFeatures_(weight.rows()),
       pool_(pool), isa_(isa), codec_(codec)
 {
-    m2x_assert(cfg.groupSize == PackedM2xfpTensor::groupSize &&
-               cfg.subgroupSize == PackedM2xfpTensor::subgroupSize,
-               "PackedLinear requires the paper layout (g32/sg8), "
-               "got g%u/sg%u", cfg.groupSize, cfg.subgroupSize);
     m2x_assert(simdIsaAvailable(isa),
                "PackedLinear: ISA tier '%s' is not available on "
                "this machine", simdIsaName(isa));
     // Weight packing is offline (construction), row-parallel on the
-    // pool: elem_em keeps the legacy quantizer path byte-for-byte;
-    // other codecs go through the functional codec packers.
+    // pool: elem_em packs through the paper weight quantizer, other
+    // codecs through the functional codec packers.
+    static const SgEmQuantizer paper_weights =
+        SgEmQuantizer::paperWeights();
     weight_ = codec_ == PackedCodec::ElemEm
-                  ? PackedM2xfpTensor::packWeights(weight, weightQ_,
+                  ? PackedM2xfpTensor::packWeights(weight, paper_weights,
                                                    pool_)
                   : PackedM2xfpTensor::packWeightsCodec(weight, codec_,
                                                         pool_);
@@ -58,12 +55,8 @@ PackedLinear::forward(const Matrix &x, Matrix &y, Workspace *ws,
                        telemetry::metricsEnabled();
 
     uint64_t t0 = timed ? telemetry::nowNanos() : 0;
-    if (codec_ == PackedCodec::ElemEm)
-        PackedM2xfpTensor::packActivations(x, actQ_, pool_, isa_,
-                                           w.packedAct);
-    else
-        PackedM2xfpTensor::packActivationsCodec(x, codec_, pool_,
-                                                isa_, w.packedAct);
+    PackedM2xfpTensor::packActivationsCodec(x, codec_, pool_, isa_,
+                                            w.packedAct);
     uint64_t t1 = timed ? telemetry::nowNanos() : 0;
     telemetry::traceComplete("linear.quantize", t0, t1);
     packedMatmulNt(w.packedAct, weight_, y, pool_, isa_);

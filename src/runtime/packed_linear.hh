@@ -21,7 +21,6 @@
 
 #include <cstdint>
 
-#include "core/m2xfp.hh"
 #include "core/m2xfp_packed.hh"
 #include "gemm/gemm.hh"
 #include "runtime/packed_gemm.hh"
@@ -64,18 +63,14 @@ class PackedLinear : public LinearOp
      * Quantize and pack @p weight [out_features, in_features] at
      * construction (offline, like the paper's weight calibration).
      *
-     * @param cfg  must keep the paper packed layout (g32/sg8, 2-bit
-     *        metadata, top-1); only consulted by the elem_em codec —
-     *        other codecs carry their own fixed geometry
      * @param pool thread pool for forward(); null = global pool
      * @param isa  kernel tier for forward(); defaults to the
      *        process-wide dispatch decision (must be available)
      * @param codec packed stream format for the resident weight and
      *        the online activation encode (the format axis of the
-     *        codec-traits seam); elem_em keeps the legacy byte-exact
-     *        fast path
+     *        codec-traits seam); each codec uses its paper quantizers
      */
-    explicit PackedLinear(const Matrix &weight, M2xfpConfig cfg = {},
+    explicit PackedLinear(const Matrix &weight,
                           ThreadPool *pool = nullptr,
                           SimdIsa isa = activeSimdIsa(),
                           PackedCodec codec = PackedCodec::ElemEm);
@@ -116,12 +111,6 @@ class PackedLinear : public LinearOp
         return inFeatures_ * outFeatures_ * sizeof(float);
     }
 
-    const ElemEmQuantizer &activationQuantizer() const
-    {
-        return actQ_;
-    }
-    const SgEmQuantizer &weightQuantizer() const { return weightQ_; }
-
     /** The kernel tier forward() executes on. */
     SimdIsa simdIsa() const { return isa_; }
 
@@ -129,8 +118,6 @@ class PackedLinear : public LinearOp
     PackedCodec codec() const { return codec_; }
 
   private:
-    ElemEmQuantizer actQ_;
-    SgEmQuantizer weightQ_;
     PackedM2xfpTensor weight_;
     size_t inFeatures_;
     size_t outFeatures_;

@@ -15,14 +15,11 @@ quantizeKernels(SimdIsa isa)
 {
     static const QuantizeKernels scalar{&quantizeActivationRowScalar};
 #ifdef M2X_HAVE_AVX2
+    // The AVX2 encoder serves the AVX-512 tier too (AVX-512
+    // availability implies AVX2).
     static const QuantizeKernels avx2{&quantizeActivationRowAvx2};
-    if (isa == SimdIsa::Avx2)
+    if (isa == SimdIsa::Avx2 || isa == SimdIsa::Avx512)
         return avx2;
-#endif
-#ifdef M2X_HAVE_AVX512
-    static const QuantizeKernels avx512{&quantizeActivationRowAvx512};
-    if (isa == SimdIsa::Avx512)
-        return avx512;
 #endif
     (void)isa;
     return scalar;
@@ -49,7 +46,7 @@ namespace {
 
 /**
  * Largest SIMD encode (rows x cols elements) that runs inline on the
- * calling thread: at ~2.5 ns per element (AVX-512) it is ~5 us of
+ * calling thread: at ~2.5 ns per element it is ~5 us of
  * work, about what a pool hand-off and the lanes' cache misses cost.
  * Covers every decode-step encode of a small batch (4 x 512).
  */
@@ -93,11 +90,7 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
     if (rows == 0 || gpr == 0)
         return;
 
-    // Encoder tiers are byte-exact against each other, so the encode
-    // stage may run a different (faster) tier than the surrounding
-    // GEMM/attend — see encodeSimdIsa.
-    const detail::QuantizeKernels &kern =
-        detail::quantizeKernels(encodeSimdIsa(isa));
+    const detail::QuantizeKernels &kern = detail::quantizeKernels(isa);
     const float *src = m.data();
     size_t cols = m.cols();
     uint8_t *elems = out.elements_.data();
@@ -206,8 +199,7 @@ PackedM2xfpTensor::appendActivationRows(const float *rows,
     scales_.resize(rows_ * gpr);
     meta_.resize(rows_ * gpr);
 
-    const detail::QuantizeKernels &kern =
-        detail::quantizeKernels(encodeSimdIsa(isa));
+    const detail::QuantizeKernels &kern = detail::quantizeKernels(isa);
     auto encode = [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
             size_t slot = (old_rows + r) * gpr;

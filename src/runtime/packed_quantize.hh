@@ -29,8 +29,9 @@
  *
  * Tier selection goes through the same SimdIsa dispatch as the GEMM
  * microkernels (runtime/simd.hh): M2X_SIMD governs both the encode
- * and the GEMM tier. Rows are independent, so the row loop is
- * distributed over a ThreadPool.
+ * and the GEMM tier. Two encoder tiers exist, scalar and AVX2; the
+ * AVX-512 tier encodes with the AVX2 kernel. Rows are independent,
+ * so the row loop is distributed over a ThreadPool.
  *
  * The public entry points are the PackedM2xfpTensor::packActivations
  * (pool, isa) overloads declared in core/m2xfp_packed.hh and defined
@@ -70,8 +71,9 @@ struct QuantizeKernels
 };
 
 /**
- * Kernel table for @p isa. Asking for a tier that is not compiled in
- * returns the scalar table (callers guard with simdIsaAvailable).
+ * Kernel table for @p isa. Avx512 gets the AVX2 encoder. Asking for
+ * a tier that is not compiled in returns the scalar table (callers
+ * guard with simdIsaAvailable).
  */
 const QuantizeKernels &quantizeKernels(SimdIsa isa);
 
@@ -98,18 +100,6 @@ void encodeActivationGroupAvx2(const float *in, ScaleRule rule,
                                uint8_t *elems, uint8_t *scale,
                                uint8_t *meta);
 #endif // M2X_HAVE_AVX2
-
-#ifdef M2X_HAVE_AVX512
-/** AVX-512 tier: 16-lane mask-ladder FP4 RNE, vpmovdb nibble pack.
- *  Held to the same byte-exact contract as every other tier. */
-void quantizeActivationRowAvx512(const float *src, size_t cols,
-                                 ScaleRule rule, uint8_t *elems,
-                                 uint8_t *scales, uint8_t *meta);
-
-void encodeActivationGroupAvx512(const float *in, ScaleRule rule,
-                                 uint8_t *elems, uint8_t *scale,
-                                 uint8_t *meta);
-#endif // M2X_HAVE_AVX512
 
 /**
  * parallelFor grain (rows per chunk) for @p rows distributed over

@@ -126,7 +126,7 @@ ServingEngine::ServingEngine(const model::ModelConfig &model_cfg,
                      ? std::make_unique<ThreadPool>(cfg.threads)
                      : nullptr),
       model_(model_cfg), isa_(cfg.isa),
-      arena_(model_cfg.kvDim(), cfg.kvMode, cfg.format, cfg.isa,
+      arena_(model_cfg.kvDim(), cfg.kvMode, cfg.isa,
              KvArenaConfig{cfg.pageRows, cfg.arenaPages, cfg.codec}),
       backend_(ownedPool_.get(), &attendNanos_)
 {
@@ -136,8 +136,8 @@ ServingEngine::ServingEngine(const model::ModelConfig &model_cfg,
     m2x_assert(cfg.admitFreeFraction >= 0.0 &&
                cfg.admitFreeFraction < 1.0,
                "admitFreeFraction must be in [0, 1)");
-    model_.rebuild(packedLinearFactory(cfg.format, ownedPool_.get(),
-                                       &stats_, isa_, cfg.codec));
+    model_.rebuild(
+        packedLinearFactory(ownedPool_.get(), &stats_, isa_, cfg.codec));
 }
 
 ServingEngine::~ServingEngine() = default;

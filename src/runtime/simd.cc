@@ -124,34 +124,7 @@ resolveSimdIsa(const char *env)
     return bestAvailableIsa();
 }
 
-SimdIsa
-resolveEncodeSimdIsa(const char *env, SimdIsa isa)
-{
-    if (env && *env && std::strcmp(env, "auto") != 0)
-        return resolveSimdIsa(env);
-    // Demotion policy: the AVX-512 activation encoder trails the
-    // AVX2 one on the measured hosts (ROADMAP), and the tiers are
-    // byte-exact against each other, so swapping tiers under the
-    // encode stage is free.
-    if (isa == SimdIsa::Avx512 && simdIsaAvailable(SimdIsa::Avx2))
-        return SimdIsa::Avx2;
-    return isa;
-}
-
 } // namespace detail
-
-SimdIsa
-encodeSimdIsa(SimdIsa isa)
-{
-    static const char *env = std::getenv("M2X_SIMD_ENCODE");
-    static const bool overridden =
-        env && *env && std::strcmp(env, "auto") != 0;
-    if (overridden) {
-        static const SimdIsa forced = detail::resolveSimdIsa(env);
-        return forced;
-    }
-    return detail::resolveEncodeSimdIsa(nullptr, isa);
-}
 
 SimdIsa
 activeSimdIsa()

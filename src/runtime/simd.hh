@@ -8,9 +8,12 @@
  * matmulNt over the unpacked operands), an AVX2+FMA tier, and an
  * AVX-512 tier (F+BW) whose LUT decode and accumulation are
  * vectorized (verified against the scalar tier to tight tolerance,
- * since vector accumulation changes the summation order). The tier
- * is chosen once per process, from cpuid, and can be pinned with the
- * M2X_SIMD environment variable:
+ * since vector accumulation changes the summation order). The
+ * activation encoder has scalar and AVX2 kernels only; the AVX-512
+ * tier encodes with the AVX2 one, byte for byte the same streams.
+ * The tier is chosen once per process, from cpuid, and can be pinned
+ * with the M2X_SIMD environment variable, which governs the GEMM,
+ * the attend and the encoder alike:
  *
  *   M2X_SIMD=scalar   force the scalar fallback
  *   M2X_SIMD=avx2     force AVX2 (warns and falls back to the best
@@ -58,22 +61,6 @@ SimdIsa activeSimdIsa();
 /** simdIsaName(activeSimdIsa()). */
 const char *activeSimdIsaName();
 
-/**
- * The kernel tier the *activation encoder* should run at when the
- * surrounding computation runs at @p isa. On the measured hosts the
- * AVX-512 encoder (vpmovdb pack path) trails the AVX2 one — narrow
- * stores dominate and the wider lanes don't pay — so an Avx512
- * request is demoted to Avx2 for the encode stage only; GEMM and
- * attend keep their full tier. The byte-exactness contract between
- * encoder tiers makes the demotion numerically invisible.
- *
- * Overridable with M2X_SIMD_ENCODE (scalar|avx2|avx512|auto, same
- * availability fallbacks as M2X_SIMD; auto/unset = the demotion
- * policy above) — the knob the encoder bench uses to measure the
- * tiers honestly. Resolved once per process.
- */
-SimdIsa encodeSimdIsa(SimdIsa isa);
-
 namespace detail {
 
 /**
@@ -81,13 +68,6 @@ namespace detail {
  * exposed so tests can cover the parsing without re-execing.
  */
 SimdIsa resolveSimdIsa(const char *env);
-
-/**
- * Pure resolution of an M2X_SIMD_ENCODE value for a computation
- * running at @p isa (nullptr/"auto" = demote Avx512 to Avx2 when
- * available); exposed for the same reason.
- */
-SimdIsa resolveEncodeSimdIsa(const char *env, SimdIsa isa);
 
 } // namespace detail
 

@@ -23,7 +23,6 @@
 #include "formats/e8m0.hh"
 #include "formats/minifloat.hh"
 #include "runtime/codec_traits.hh"
-#include "runtime/decode_lut.hh"
 #include "runtime_test_util.hh"
 
 namespace m2x {
@@ -165,12 +164,18 @@ TEST(CodecTraits, ScaleTableMatchesTheCodecsScaleRule)
 TEST(CodecTraits, MetadataTablesMatchTheFunctionalRules)
 {
     const Minifloat &fp6 = Minifloat::fp6e2m3();
+    SgEmQuantizer sg = makeM2xfpWeightQuantizer();
+    ScaleE8m0 one = ScaleE8m0::fromExponent(0);
     for (PackedCodec c : allPackedCodecs()) {
         SCOPED_TRACE(codecTrace(c));
         const CodecTraits &t = CodecTraits::get(c);
-        // Weight role everywhere, Sg-EM activations: 1 + m/4.
-        for (uint8_t m = 0; m < 4; ++m)
+        // Weight role everywhere, Sg-EM activations: 1 + m/4, the
+        // paper weight quantizer's own subgroup multiplier.
+        for (uint8_t m = 0; m < 4; ++m) {
             EXPECT_EQ(t.subMult[m], 1.0f + m / 4.0f) << int(m);
+            EXPECT_EQ(t.subMult[m], sg.subgroupScale(one, m))
+                << int(m);
+        }
         // Elem-EM-style top-1 FP6 replacement (Elem-EM, M2-NVFP4).
         for (uint32_t code = 0; code < 16; ++code) {
             for (uint8_t m = 0; m < 4; ++m) {
@@ -290,31 +295,6 @@ TEST(CodecTraits, RowDecodeMatchesFunctionalWithRaggedTail)
                     ASSERT_EQ(rows[r * stride + i], ra(r, i))
                         << r << "," << i;
         }
-    }
-}
-
-TEST(CodecTraits, ElemEmGenericKernelsMatchTheLegacyLut)
-{
-    // The seam's identity property: on Elem-EM tensors the generic
-    // kernels are bit-identical to the legacy decode_lut path, so
-    // driver-level dispatch can never change a result, only a code
-    // path.
-    Matrix m = randomMatrix(5, 77, 0xBEEF, 4.0);
-    ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
-    SgEmQuantizer wq = makeM2xfpWeightQuantizer();
-    PackedM2xfpTensor ta = PackedM2xfpTensor::packActivations(m, aq);
-    PackedM2xfpTensor tw = PackedM2xfpTensor::packWeights(m, wq);
-    size_t padded = ta.groupsPerRow() * 32;
-    std::vector<float> legacy(padded), generic(padded);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        decodeActivationRow(ta, r, legacy.data());
-        codecDecodeActivationRow(ta, r, generic.data());
-        for (size_t i = 0; i < padded; ++i)
-            ASSERT_EQ(generic[i], legacy[i]) << "act " << r << "," << i;
-        decodeWeightRow(tw, r, legacy.data());
-        codecDecodeWeightRow(tw, r, generic.data());
-        for (size_t i = 0; i < padded; ++i)
-            ASSERT_EQ(generic[i], legacy[i]) << "wt " << r << "," << i;
     }
 }
 

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/m2xfp.hh"
 #include "core/m2xfp_packed.hh"
 #include "core/packed_codec.hh"
 #include "gemm/gemm.hh"
@@ -439,7 +440,7 @@ TEST_P(CrossFormat, KvPagesMatchFunctionalPackAcrossBoundaries)
     Matrix m = adversarialMatrix(total, d, 0xE5);
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        KvPageArena arena(d, KvCacheMode::Packed, {}, isa,
+        KvPageArena arena(d, KvCacheMode::Packed, isa,
                           {.pageRows = page_rows,
                            .capacityPages = 8,
                            .codec = codec()});
@@ -473,12 +474,13 @@ TEST_P(CrossFormat, PackedAttendMatchesFp32OracleOnQuantizedRows)
     // The packed attend for this codec vs the fp32 oracle fed the
     // codec's functionally round-tripped K/V rows: both kernels see
     // the same operand values, so outputs agree to the established
-    // attend tolerance on every tier and in both the flash and the
-    // legacy page walker.
-    const size_t layers = 2, d = 64, tokens = 13;
+    // attend tolerance on every tier — for a causal prefill chunk,
+    // and for one decode-step query over 1024 cached rows (64
+    // pages), where the online softmax rescales across many pages.
+    const size_t layers = 2, d = 64, tokens = 13, long_rows = 1024;
     const unsigned heads = 2;
-    Matrix k = randomMatrix(tokens, d, 0x11, 4.0);
-    Matrix v = randomMatrix(tokens, d, 0x12, 4.0);
+    Matrix k = randomMatrix(long_rows, d, 0x11, 4.0);
+    Matrix v = randomMatrix(long_rows, d, 0x12, 4.0);
     Matrix q = randomMatrix(tokens, d, 0x13, 4.0);
     Matrix kq = PackedM2xfpTensor::packActivationsCodec(k, codec())
                     .unpackActivationsCodec();
@@ -487,9 +489,9 @@ TEST_P(CrossFormat, PackedAttendMatchesFp32OracleOnQuantizedRows)
 
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        KvCache packed(layers, d, KvCacheMode::Packed, {}, isa,
+        KvCache packed(layers, d, KvCacheMode::Packed, isa,
                        codec());
-        KvCache fp32(layers, d, KvCacheMode::Fp32, {}, isa);
+        KvCache fp32(layers, d, KvCacheMode::Fp32, isa);
         for (size_t l = 0; l < layers; ++l) {
             packed.append(l, k.data(), v.data(), tokens);
             fp32.append(l, kq.data(), vq.data(), tokens);
@@ -500,11 +502,16 @@ TEST_P(CrossFormat, PackedAttendMatchesFp32OracleOnQuantizedRows)
         fp32.attend(0, q.data(), tokens, 0, heads, ctx_fp32.data());
         expectMatricesClose(ctx_packed, ctx_fp32, 1e-6);
 
-        packed.attendLegacy(0, q.data(), tokens, 0, heads,
-                            ctx_packed.data());
-        fp32.attendLegacy(0, q.data(), tokens, 0, heads,
-                          ctx_fp32.data());
-        expectMatricesClose(ctx_packed, ctx_fp32, 1e-6);
+        packed.append(0, k.data() + tokens * d, v.data() + tokens * d,
+                      long_rows - tokens);
+        fp32.append(0, kq.data() + tokens * d,
+                    vq.data() + tokens * d, long_rows - tokens);
+        Matrix step_packed(1, d), step_fp32(1, d);
+        packed.attend(0, q.data(), 1, long_rows - 1, heads,
+                      step_packed.data());
+        fp32.attend(0, q.data(), 1, long_rows - 1, heads,
+                    step_fp32.data());
+        expectMatricesClose(step_packed, step_fp32, 1e-6);
     }
 }
 
@@ -519,10 +526,10 @@ TEST_P(CrossFormat, ChunkedAppendKeepsAttendExact)
     Matrix v = randomMatrix(tokens, d, 0x22, 4.0);
     Matrix q = randomMatrix(tokens, d, 0x23, 4.0);
 
-    KvCache oneshot(1, d, KvCacheMode::Packed, {}, activeSimdIsa(),
+    KvCache oneshot(1, d, KvCacheMode::Packed, activeSimdIsa(),
                     codec());
     oneshot.append(0, k.data(), v.data(), tokens);
-    KvCache chunked(1, d, KvCacheMode::Packed, {}, activeSimdIsa(),
+    KvCache chunked(1, d, KvCacheMode::Packed, activeSimdIsa(),
                     codec());
     size_t chunks[] = {1, 7, 9, 2};
     size_t r = 0;
@@ -540,7 +547,7 @@ TEST_P(CrossFormat, ChunkedAppendKeepsAttendExact)
 TEST_P(CrossFormat, BytesPerTokenFollowsTheCodecsBitRate)
 {
     const size_t d = 128, tokens = 16;
-    KvCache cache(1, d, KvCacheMode::Packed, {}, activeSimdIsa(),
+    KvCache cache(1, d, KvCacheMode::Packed, activeSimdIsa(),
                   codec());
     Matrix rows = randomMatrix(tokens, d, 0x31, 4.0);
     cache.append(0, rows.data(), rows.data(), tokens);

@@ -79,7 +79,7 @@ model::TinyTransformer
 kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
 {
     model::TinyTransformer ref(cfg);
-    ref.rebuild(packedLinearFactory({}, nullptr, nullptr, isa));
+    ref.rebuild(packedLinearFactory(nullptr, nullptr, isa));
     ref.setKvQuantizers(
         [] {
             return std::make_shared<ElemEmQuantizer>(

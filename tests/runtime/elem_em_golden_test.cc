@@ -164,7 +164,7 @@ TEST(ElemEmGolden, KvPageStreamsOnEveryTier)
     Matrix am = goldenActivations();
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        KvPageArena arena(100, KvCacheMode::Packed, {}, isa,
+        KvPageArena arena(100, KvCacheMode::Packed, isa,
                           {.pageRows = 4, .capacityPages = 8});
         std::vector<KvPageId> ids;
         size_t row = 0;

@@ -102,8 +102,8 @@ TEST(KvCache, PackedAttendMatchesFp32OracleOnQuantizedRows)
 
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        KvCache packed(layers, d, KvCacheMode::Packed, {}, isa);
-        KvCache fp32(layers, d, KvCacheMode::Fp32, {}, isa);
+        KvCache packed(layers, d, KvCacheMode::Packed, isa);
+        KvCache fp32(layers, d, KvCacheMode::Fp32, isa);
         for (size_t l = 0; l < layers; ++l) {
             packed.append(l, k.data(), v.data(), tokens);
             fp32.append(l, kq.data(), vq.data(), tokens);

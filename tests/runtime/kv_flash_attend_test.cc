@@ -4,15 +4,17 @@
  * must reproduce the full-forward oracle at every page-boundary
  * context length on every tier (fp32 bit-exact, packed within the
  * model tolerance), grouped-query and sliding-window variants must
- * match the grouped/windowed oracle, the legacy O(context)-scratch
- * attend must agree with the flash rewrite, per-lane attend scratch
- * must stay constant from 1k to 64k context, and the per-ISA kernel
- * primitives must agree with the scalar tier under GQA grouping.
+ * match the grouped/windowed oracle, per-lane attend scratch must
+ * stay constant from 1k to 64k context, and the per-ISA page
+ * kernels must agree with the scalar tier: the page decode bit for
+ * bit, scores and value accumulation under GQA grouping to double
+ * rounding.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -56,7 +58,7 @@ model::TinyTransformer
 kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
 {
     model::TinyTransformer ref(cfg);
-    ref.rebuild(packedLinearFactory({}, nullptr, nullptr, isa));
+    ref.rebuild(packedLinearFactory(nullptr, nullptr, isa));
     ref.setKvQuantizers(
         [] {
             return std::make_shared<ElemEmQuantizer>(
@@ -190,14 +192,14 @@ TEST(FlashAttend, SlidingWindowMatchesTruncatedFullAttend)
                 SCOPED_TRACE(std::string(kvCacheModeName(mode)) +
                              " isa=" + simdIsaName(isa) +
                              " window=" + std::to_string(window));
-                KvCache full(1, d, mode, {}, isa);
+                KvCache full(1, d, mode, isa);
                 full.append(0, k.data(), v.data(), tokens);
                 Matrix got(1, d);
                 full.attend(0, q.data(), 1, tokens - 1, heads,
                             got.data(), nullptr, heads, window);
 
                 size_t first = tokens - window;
-                KvCache trunc(1, d, mode, {}, isa);
+                KvCache trunc(1, d, mode, isa);
                 trunc.append(0, k.data() + first * d,
                              v.data() + first * d, window);
                 Matrix want(1, d);
@@ -266,39 +268,6 @@ TEST(FlashAttend, ReleaseBeforeKeepsWindowedAttendExact)
     }
 }
 
-TEST(FlashAttend, LegacyAttendMatchesFlash)
-{
-    // attendLegacy is the pre-flash O(context)-scratch baseline the
-    // long-context bench measures against; on the same rows the two
-    // must agree — bitwise in fp32 (the 3-pass replicates the
-    // materialized-scores arithmetic), within the model tolerance in
-    // packed (different exp and accumulation association).
-    const size_t d = 64, tokens = 70;
-    const unsigned heads = 2;
-    Matrix k = test::randomMatrix(tokens, d, 101, 4.0);
-    Matrix v = test::randomMatrix(tokens, d, 102, 4.0);
-    Matrix q = test::randomMatrix(tokens, d, 103, 4.0);
-
-    for (SimdIsa isa : supportedSimdIsas()) {
-        for (KvCacheMode mode :
-             {KvCacheMode::Fp32, KvCacheMode::Packed}) {
-            SCOPED_TRACE(std::string(kvCacheModeName(mode)) +
-                         " isa=" + simdIsaName(isa));
-            KvCache cache(1, d, mode, {}, isa);
-            cache.append(0, k.data(), v.data(), tokens);
-            Matrix flash(tokens, d), legacy(tokens, d);
-            cache.attend(0, q.data(), tokens, 0, heads,
-                         flash.data());
-            cache.attendLegacy(0, q.data(), tokens, 0, heads,
-                               legacy.data());
-            if (mode == KvCacheMode::Fp32)
-                test::expectMatricesBitExact(flash, legacy);
-            else
-                test::expectMatricesClose(flash, legacy, 1e-5);
-        }
-    }
-}
-
 TEST(FlashAttend, ScratchStaysConstantFrom1kTo64kContext)
 {
     // The defining flash property (and the ISSUE's regression gate):
@@ -332,74 +301,175 @@ TEST(FlashAttend, ScratchStaysConstantFrom1kTo64kContext)
 
 TEST(FlashAttendKernels, VectorTiersMatchScalarUnderGrouping)
 {
-    // Direct kernel parity: per-head dots, value accumulation and
-    // exponential weights on every compiled tier vs the scalar
-    // oracle, at group 1 and 2 and a non-vector-multiple head dim.
+    // Direct kernel parity on a partial page: page scores and their
+    // per-head max, the page value accumulation and the exponential
+    // weights on every compiled tier vs the scalar tier, at group 1
+    // and 2 and a non-vector-multiple head dim.
     using namespace detail;
     const unsigned n_heads = 4;
+    const size_t page_rows = 16, n_rows = 11;
+    const double inv_sqrt = 0.125;
     for (size_t hd : {size_t(32), size_t(20)}) {
         for (unsigned group : {1u, 2u}) {
             SCOPED_TRACE("hd=" + std::to_string(hd) +
                          " group=" + std::to_string(group));
             size_t kv_d = (n_heads / group) * hd;
+            // A decoded page slab with a padded row stride, as the
+            // attend lays it out.
+            size_t stride = kv_d + 12;
             Matrix q = test::randomMatrix(1, n_heads * hd, 121, 4.0);
-            Matrix row = test::randomMatrix(1, kv_d, 122, 4.0);
-            std::vector<double> p(n_heads);
-            for (unsigned h = 0; h < n_heads; ++h)
-                p[h] = 0.25 * (h + 1);
+            Matrix rows = test::randomMatrix(n_rows, stride, 122, 4.0);
+            std::vector<double> w(n_heads * page_rows);
+            Rng wrng(124);
+            for (auto &x : w)
+                x = wrng.uniform();
+            std::vector<double> acc0(n_heads * hd);
+            for (size_t i = 0; i < acc0.size(); ++i)
+                acc0[i] = 0.01 * static_cast<double>(i % 17) - 0.05;
 
-            std::vector<double> dot_want(n_heads);
-            std::vector<double> acc_want(n_heads * hd, 0.0);
-            dotHeadsScalar(q.data(), row.data(), hd, n_heads, group,
-                           dot_want.data());
-            accumHeadsScalar(p.data(), row.data(), hd, n_heads,
-                             group, acc_want.data());
+            const AttendKernels &ref = attendKernels(SimdIsa::Scalar);
+            std::vector<double> sc_want(n_heads * page_rows, 0.0);
+            std::vector<double> max_want(n_heads);
+            ref.scorePage(q.data(), rows.data(), stride, n_rows, hd,
+                          n_heads, group, inv_sqrt, sc_want.data(),
+                          page_rows, max_want.data());
+            std::vector<double> acc_want = acc0;
+            ref.accumPage(w.data(), page_rows, rows.data(), stride,
+                          n_rows, hd, n_heads, group, acc_want.data());
             std::vector<double> s(33);
             Rng rng(123);
             for (auto &x : s)
                 x = -30.0 * rng.uniform();
             std::vector<double> exp_want(s.size());
-            expWeightsScalar(s.data(), 0.0, s.size(),
-                             exp_want.data());
+            ref.expWeights(s.data(), 0.0, s.size(), exp_want.data());
 
-            auto check = [&](const AttendKernels &kern,
-                             const char *name) {
-                SCOPED_TRACE(name);
-                std::vector<double> dot_got(n_heads);
-                std::vector<double> acc_got(n_heads * hd, 0.0);
-                std::vector<double> exp_got(s.size());
-                kern.dotHeads(q.data(), row.data(), hd, n_heads,
-                              group, dot_got.data());
-                kern.accumHeads(p.data(), row.data(), hd, n_heads,
-                                group, acc_got.data());
-                kern.expWeights(s.data(), 0.0, s.size(),
-                                exp_got.data());
-                for (unsigned h = 0; h < n_heads; ++h)
-                    EXPECT_NEAR(dot_got[h], dot_want[h],
-                                1e-9 * std::max(
-                                           1.0,
-                                           std::abs(dot_want[h])))
-                        << "head " << h;
-                for (size_t i = 0; i < acc_want.size(); ++i)
-                    ASSERT_NEAR(acc_got[i], acc_want[i],
-                                1e-9 * std::max(
-                                           1.0,
-                                           std::abs(acc_want[i])))
-                        << "elem " << i;
-                // The vector tiers run a float polynomial exp
-                // against the scalar libm double; the error grows
-                // with |s - m| (range-reduction rounding) but stays
-                // an order under the 1e-5 packed model tolerance.
-                for (size_t i = 0; i < s.size(); ++i)
-                    ASSERT_NEAR(exp_got[i], exp_want[i],
-                                5e-6 * std::max(1e-12, exp_want[i]))
-                        << "elem " << i;
+            auto near = [](double got, double want) {
+                return std::abs(got - want) <=
+                       1e-9 * std::max(1.0, std::abs(want));
             };
             for (SimdIsa isa : supportedSimdIsas()) {
                 if (isa == SimdIsa::Scalar)
                     continue;
-                check(attendKernels(isa), simdIsaName(isa));
+                SCOPED_TRACE(simdIsaName(isa));
+                const AttendKernels &kern = attendKernels(isa);
+                std::vector<double> sc_got(n_heads * page_rows, 0.0);
+                std::vector<double> max_got(n_heads);
+                kern.scorePage(q.data(), rows.data(), stride, n_rows,
+                               hd, n_heads, group, inv_sqrt,
+                               sc_got.data(), page_rows,
+                               max_got.data());
+                for (unsigned h = 0; h < n_heads; ++h) {
+                    EXPECT_TRUE(near(max_got[h], max_want[h]))
+                        << "smax head " << h << ": " << max_got[h]
+                        << " vs " << max_want[h];
+                    for (size_t r = 0; r < n_rows; ++r) {
+                        size_t i = h * page_rows + r;
+                        ASSERT_TRUE(near(sc_got[i], sc_want[i]))
+                            << "score head " << h << " row " << r
+                            << ": " << sc_got[i] << " vs "
+                            << sc_want[i];
+                    }
+                }
+                std::vector<double> acc_got = acc0;
+                kern.accumPage(w.data(), page_rows, rows.data(),
+                               stride, n_rows, hd, n_heads, group,
+                               acc_got.data());
+                for (size_t i = 0; i < acc_want.size(); ++i)
+                    ASSERT_TRUE(near(acc_got[i], acc_want[i]))
+                        << "acc elem " << i << ": " << acc_got[i]
+                        << " vs " << acc_want[i];
+                // The vector tiers run a float polynomial exp
+                // against the scalar libm double; the error grows
+                // with |s - m| (range-reduction rounding) but stays
+                // an order under the 1e-5 packed model tolerance.
+                std::vector<double> exp_got(s.size());
+                kern.expWeights(s.data(), 0.0, s.size(),
+                                exp_got.data());
+                for (size_t i = 0; i < s.size(); ++i)
+                    ASSERT_NEAR(exp_got[i], exp_want[i],
+                                5e-6 * std::max(1e-12, exp_want[i]))
+                        << "elem " << i;
             }
+        }
+    }
+}
+
+/** Bitwise equality of rows [0, n) of two decoded page slabs. */
+void
+expectSlabsEqual(const std::vector<float> &got,
+                 const std::vector<float> &want, size_t n,
+                 size_t width, size_t stride)
+{
+    for (size_t r = 0; r < n; ++r)
+        ASSERT_EQ(std::memcmp(got.data() + r * stride,
+                              want.data() + r * stride,
+                              width * sizeof(float)),
+                  0)
+            << "row " << r;
+}
+
+TEST(FlashAttendKernels, VectorPageDecodeIsBitIdentical)
+{
+    // The page decode every packed attend runs: each vector tier's
+    // decodeRows must equal the scalar tier's (codecDecodeRows) bit
+    // for bit.
+    using namespace detail;
+    const AttendKernels &ref = attendKernels(SimdIsa::Scalar);
+
+    // Raw streams over the whole element-byte space: row b's group g
+    // holds bytes (b + 17 i + 5 g) & 0xff, so every byte value sits
+    // at every position and the subgroup top-1 winners move around.
+    // Three groups per row reach the AVX-512 two-group loop and its
+    // single-group tail.
+    const size_t n_rows = 256, gpr = 3, cols = gpr * 32;
+    std::vector<uint8_t> elems(n_rows * gpr * 16);
+    for (size_t b = 0; b < n_rows; ++b)
+        for (size_t g = 0; g < gpr; ++g)
+            for (size_t i = 0; i < 16; ++i)
+                elems[(b * gpr + g) * 16 + i] =
+                    static_cast<uint8_t>(b + 17 * i + 5 * g);
+    const size_t stride = cols + 8;
+    for (uint8_t scale : {0, 64, 100, 127, 130, 200, 254}) {
+        for (uint8_t meta : {0x00, 0x1b, 0x6c, 0xe4, 0xff}) {
+            SCOPED_TRACE("scale=" + std::to_string(scale) +
+                         " meta=" + std::to_string(meta));
+            PackedM2xfpTensor t = PackedM2xfpTensor::fromRawStreams(
+                n_rows, cols, elems,
+                std::vector<uint8_t>(n_rows * gpr, scale),
+                std::vector<uint8_t>(n_rows * gpr, meta));
+            std::vector<float> want(n_rows * stride, -1.0f);
+            ref.decodeRows(t, 0, n_rows, stride, want.data());
+            for (SimdIsa isa : supportedSimdIsas()) {
+                if (isa == SimdIsa::Scalar)
+                    continue;
+                SCOPED_TRACE(simdIsaName(isa));
+                std::vector<float> got(n_rows * stride, -1.0f);
+                attendKernels(isa).decodeRows(t, 0, n_rows, stride,
+                                              got.data());
+                expectSlabsEqual(got, want, n_rows, cols, stride);
+            }
+        }
+    }
+
+    // Real encoder output at d_model 40: a padded tail group, and a
+    // partial page decoded from a row offset.
+    Matrix m = test::randomMatrix(16, 40, 131, 4.0);
+    PackedM2xfpTensor t = PackedM2xfpTensor::packActivations(
+        m, makeM2xfpActivationQuantizer());
+    const size_t padded = t.groupsPerRow() * 32;
+    for (size_t row0 : {size_t(0), size_t(5)}) {
+        size_t n = 16 - row0;
+        std::vector<float> want(n * padded, -1.0f);
+        ref.decodeRows(t, row0, n, padded, want.data());
+        for (SimdIsa isa : supportedSimdIsas()) {
+            if (isa == SimdIsa::Scalar)
+                continue;
+            SCOPED_TRACE(std::string(simdIsaName(isa)) +
+                         " row0=" + std::to_string(row0));
+            std::vector<float> got(n * padded, -1.0f);
+            attendKernels(isa).decodeRows(t, row0, n, padded,
+                                          got.data());
+            expectSlabsEqual(got, want, n, padded, padded);
         }
     }
 }

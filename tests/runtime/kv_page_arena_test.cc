@@ -26,7 +26,7 @@ namespace {
 
 TEST(KvPageArena, BoundedExhaustionReturnsInvalidPage)
 {
-    KvPageArena arena(64, KvCacheMode::Fp32, {}, SimdIsa::Scalar,
+    KvPageArena arena(64, KvCacheMode::Fp32, SimdIsa::Scalar,
                       {.pageRows = 4, .capacityPages = 3});
     EXPECT_EQ(arena.capacityPages(), 3u);
     EXPECT_EQ(arena.freePages(), 3u);
@@ -58,7 +58,7 @@ TEST(KvPageArena, FreeListReusePreventsGrowthAcrossChurn)
     for (KvCacheMode mode :
          {KvCacheMode::Fp32, KvCacheMode::Packed}) {
         SCOPED_TRACE(std::string("mode=") + kvCacheModeName(mode));
-        KvPageArena arena(64, mode, {}, SimdIsa::Scalar,
+        KvPageArena arena(64, mode, SimdIsa::Scalar,
                           {.pageRows = 4, .capacityPages = 16});
         Matrix rows = test::randomMatrix(8, 64, 11, 4.0);
 
@@ -97,7 +97,7 @@ TEST(KvPageArena, PackedPagesByteExactVsOneShotPacker)
 
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        KvPageArena arena(d, KvCacheMode::Packed, {}, isa,
+        KvPageArena arena(d, KvCacheMode::Packed, isa,
                           {.pageRows = page_rows, .capacityPages = 8});
 
         // Fill pages through uneven appends that straddle page
@@ -141,7 +141,7 @@ TEST(KvPageArena, PackedPagesByteExactVsOneShotPacker)
 TEST(KvCache, SharedArenaPageAccounting)
 {
     const size_t layers = 2, d = 64;
-    KvPageArena arena(d, KvCacheMode::Packed, {}, SimdIsa::Scalar,
+    KvPageArena arena(d, KvCacheMode::Packed, SimdIsa::Scalar,
                       {.pageRows = 4, .capacityPages = 64});
     KvCache cache(arena, layers);
     Matrix rows = test::randomMatrix(10, d, 31, 4.0);
@@ -178,7 +178,7 @@ TEST(KvCache, EvictionRePrefillRoundTripParity)
             SCOPED_TRACE(std::string("mode=") +
                          kvCacheModeName(mode) +
                          " isa=" + simdIsaName(isa));
-            KvPageArena arena(d, mode, {}, isa,
+            KvPageArena arena(d, mode, isa,
                               {.pageRows = 4, .capacityPages = 32});
             KvCache cache(arena, layers);
             auto fill = [&] {
@@ -213,7 +213,7 @@ TEST(KvPageArena, PackedPageCapacityMultiplierVsFp32)
     // The point of the paged packed cache: one fp32 page budget
     // holds >= 4x more packed pages (18 bytes per 32 elements vs
     // 128 — the paper's ~7.1x at d % 32 == 0).
-    KvPageArena arena(256, KvCacheMode::Packed, {}, SimdIsa::Scalar,
+    KvPageArena arena(256, KvCacheMode::Packed, SimdIsa::Scalar,
                       {.pageRows = 16, .capacityPages = 4});
     double mult = static_cast<double>(arena.fp32PageBytes()) /
                   static_cast<double>(arena.pageBytes());

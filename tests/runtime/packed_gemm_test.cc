@@ -198,8 +198,9 @@ TEST(PackedGemm, BlockedSinglePanelShapes)
 TEST(PackedGemm, BlockEnvKnobsAreNormalized)
 {
     // gemmBlocking() must never hand the driver a hierarchy that
-    // violates a kernel invariant, whatever the env said; the
-    // normalizer is the single chokepoint.
+    // violates a kernel invariant: the kernel tables' blocks are
+    // already normalized, and normalizeBlocking() is the chokepoint
+    // for every other request (the bench's block sweep).
     for (SimdIsa isa : supportedSimdIsas()) {
         detail::GemmBlocking d = detail::gemmBlocking(isa);
         EXPECT_EQ(d.mc % d.mr, 0u) << simdIsaName(isa);
@@ -212,28 +213,6 @@ TEST(PackedGemm, BlockEnvKnobsAreNormalized)
         EXPECT_EQ(b.nc, b.nr) << simdIsaName(isa);
         EXPECT_EQ(b.kc, PackedM2xfpTensor::groupSize)
             << simdIsaName(isa);
-    }
-}
-
-TEST(PackedGemm, LegacyTiledDriverStaysOnContract)
-{
-    // The PR3 baseline driver (kept for the bench's blocked_vs_pr3
-    // ratio) must hold the same per-tier contracts as the blocked
-    // one.
-    Matrix a = randomMatrix(37, 90, 60, 4.0);
-    Matrix w = randomMatrix(29, 90, 61, 6.0);
-    ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
-    SgEmQuantizer wq = makeM2xfpWeightQuantizer();
-    PackedM2xfpTensor pa = PackedM2xfpTensor::packActivations(a, aq);
-    PackedM2xfpTensor pw = PackedM2xfpTensor::packWeights(w, wq);
-    Matrix ref = matmulNt(pa.unpackActivations(aq),
-                          pw.unpackWeights(wq));
-    ThreadPool pool(2);
-    for (SimdIsa isa : supportedSimdIsas()) {
-        SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        Matrix got;
-        detail::packedMatmulNtTiled(pa, pw, got, &pool, isa);
-        expectMatricesMatch(got, ref, isa);
     }
 }
 

@@ -42,7 +42,7 @@ expectForwardParity(const Matrix &w, const Matrix &x)
     Matrix yr = ref.forward(x);
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        PackedLinear packed(w, {}, nullptr, isa);
+        PackedLinear packed(w, nullptr, isa);
         EXPECT_EQ(packed.simdIsa(), isa);
         expectMatricesMatch(packed.forward(x), yr, isa);
     }
@@ -69,7 +69,7 @@ TEST(PackedLinear, DefaultTierIsTheDispatchDecision)
     Matrix x = randomMatrix(4, 64, 9, 4.0);
     PackedLinear packed(w);
     EXPECT_EQ(packed.simdIsa(), activeSimdIsa());
-    PackedLinear pinned(w, {}, nullptr, activeSimdIsa());
+    PackedLinear pinned(w, nullptr, activeSimdIsa());
     expectMatricesBitExact(packed.forward(x), pinned.forward(x));
 }
 
@@ -92,7 +92,7 @@ TEST(PackedLinear, ForwardIntoMatchesReturningOverload)
     Matrix w = randomMatrix(40, 100, 10, 6.0);
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
-        PackedLinear packed(w, {}, nullptr, isa);
+        PackedLinear packed(w, nullptr, isa);
         PackedLinear::Workspace ws;
         ForwardBreakdown bd;
         Matrix y;
@@ -116,7 +116,7 @@ TEST(PackedLinear, ExplicitPoolProducesSameResult)
     Matrix w = randomMatrix(40, 64, 6, 6.0);
     Matrix x = randomMatrix(21, 64, 7, 4.0);
     ThreadPool pool(4);
-    PackedLinear with_pool(w, {}, &pool);
+    PackedLinear with_pool(w, &pool);
     PackedLinear without_pool(w);
     expectMatricesBitExact(with_pool.forward(x),
                            without_pool.forward(x));

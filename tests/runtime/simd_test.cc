@@ -4,7 +4,8 @@
  *  - M2X_SIMD resolution logic (pure, no re-exec needed),
  *  - vector-vs-scalar decode exactness over all 256 values of every
  *    stream byte (element codes, metadata, scales) — the vector LUT
- *    decode must be bit-identical to runtime/decode_lut,
+ *    decode must be bit-identical to the codec_traits generic
+ *    kernels the scalar tier runs,
  *  - randomized differential GEMM between the scalar oracle and each
  *    vector tier (AVX2, AVX-512) across ragged M/N/K and tail-group
  *    shapes (≤ 1e-6 relative), plus explicit-tier pinning regardless
@@ -25,7 +26,7 @@
 
 #include "core/m2xfp.hh"
 #include "gemm/gemm.hh"
-#include "runtime/decode_lut.hh"
+#include "runtime/codec_traits.hh"
 #include "runtime/packed_gemm.hh"
 #include "runtime/packed_gemm_kernels.hh"
 #include "runtime_test_util.hh"
@@ -126,11 +127,11 @@ void
 expectDecodeExact(const PackedM2xfpTensor &t)
 {
     float ref[groupSize], vec[groupSize];
-    decodeWeightGroup(t, 0, 0, ref);
+    codecDecodeWeightGroup(t, 0, 0, ref);
     detail::decodeWeightGroupAvx2(t, 0, 0, vec);
     ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
         << "weight decode diverges";
-    decodeActivationGroup(t, 0, 0, ref);
+    codecDecodeActivationGroup(t, 0, 0, ref);
     detail::decodeActivationGroupAvx2(t, 0, 0, vec);
     ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
         << "activation decode diverges";
@@ -190,14 +191,14 @@ TEST(SimdDecode, ExactOnRandomPackedTensors)
         size_t padded_k = pa.groupsPerRow() * groupSize;
         std::vector<float> ref(padded_k), vec(padded_k);
         for (size_t r = 0; r < 5; ++r) {
-            decodeActivationRow(pa, r, ref.data());
+            codecDecodeActivationRow(pa, r, ref.data());
             detail::decodeActivationRowAvx2(pa, r, vec.data());
             ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
                                   padded_k * sizeof(float)),
                       0)
                 << "activation row " << r << " k " << k;
             for (size_t g = 0; g < pw.groupsPerRow(); ++g) {
-                decodeWeightGroup(pw, r, g, ref.data());
+                codecDecodeWeightGroup(pw, r, g, ref.data());
                 detail::decodeWeightGroupAvx2(pw, r, g, vec.data());
                 ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
                                       groupSize * sizeof(float)),
@@ -272,7 +273,7 @@ void
 expectDecodeExactAvx512(const PackedM2xfpTensor &t)
 {
     float ref[groupSize], vec[groupSize];
-    decodeWeightGroup(t, 0, 0, ref);
+    codecDecodeWeightGroup(t, 0, 0, ref);
     detail::decodeWeightGroupAvx512(t, 0, 0, vec);
     ASSERT_EQ(std::memcmp(ref, vec, sizeof(ref)), 0)
         << "avx512 weight decode diverges";
@@ -313,7 +314,7 @@ TEST(SimdDecodeAvx512, ExactRowDecodeOnRandomPackedTensors)
         size_t padded_k = pw.groupsPerRow() * groupSize;
         std::vector<float> ref(padded_k), vec(padded_k);
         for (size_t r = 0; r < 5; ++r) {
-            decodeWeightRow(pw, r, ref.data());
+            codecDecodeWeightRow(pw, r, ref.data());
             detail::decodeWeightRowAvx512(pw, r, vec.data());
             ASSERT_EQ(std::memcmp(ref.data(), vec.data(),
                                   padded_k * sizeof(float)),

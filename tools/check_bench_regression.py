@@ -41,16 +41,6 @@ PACK = (("rows", "cols"), ("isa", "threads"),
         ("speedup_vs_functional",))
 FWD = (("m", "n", "k"), ("threads",), ("speedup_vs_ref",))
 
-# Per-metric overrides of the default --threshold. flash_vs_old times
-# two single-query attends back to back — microsecond-scale work at
-# the short contexts — so even as a paired same-run ratio it swings
-# roughly 1.5x-2.8x at the 256/1024 contexts when the shared runner
-# changes speed regime mid-window; the wide band still catches a
-# real kernel regression (losing the blocked-attend advantage reads
-# ~1.0x against any committed baseline >= 2x) without flaking on
-# runner noise.
-METRIC_THRESHOLDS = {"flash_vs_old": 0.45}
-
 
 def row_index(doc, section, shape_keys, row_keys, metrics):
     """(section, shape..., row...) -> {metric: value}."""
@@ -72,8 +62,8 @@ def ratio_rows(doc):
         shape = tuple(entry[k] for k in GEMM[0])
         summary = {
             m: entry[m]
-            for m in ("blocked_vs_pr3_1t", "avx2_vs_scalar_1t",
-                      "avx512_vs_scalar_1t") if m in entry
+            for m in ("avx2_vs_scalar_1t", "avx512_vs_scalar_1t")
+            if m in entry
         }
         if summary:
             rows[("gemm", shape, ("summary",))] = summary
@@ -98,22 +88,6 @@ def ratio_rows(doc):
                   "packed_vs_fp32_tokens_per_s":
                       dec["packed_vs_fp32_tokens_per_s"]
               }
-    # Long-context attend rows are keyed (context, mode, window_s,
-    # isa, threads); flash_vs_old compares the flash and legacy
-    # attends of the same run, so it is runner-speed independent —
-    # but the quick run's 0.1 s timing windows carry far more
-    # single-query jitter than the full run's 0.2 s windows, so the
-    # window length is part of the key and a --quick run never gates
-    # against a full-run baseline (the model/decode precedent).
-    lc = doc.get("long_context", {})
-    for row in lc.get("rows", []):
-        if "flash_vs_old" in row:
-            rows[("long_context",
-                  (row.get("context"), row.get("mode"),
-                   row.get("window_s")),
-                  (row.get("isa"), row.get("threads")))] = {
-                      "flash_vs_old": row["flash_vs_old"]
-                  }
     # The serving bench (BENCH_serving.json) is likewise one row per
     # run, keyed by the whole Poisson workload + arena geometry so a
     # --quick run can never match a full-run baseline. Both ratios
@@ -245,12 +219,11 @@ def main():
             drop = 1.0 - fresh_v / base_v
             tag = "/".join(str(p) for p in
                            (key[0], *key[1], *key[2], metric))
-            threshold = METRIC_THRESHOLDS.get(metric, args.threshold)
-            if drop > threshold:
+            if drop > args.threshold:
                 failures.append(
                     f"FAIL {tag}: {base_v:.3f} -> {fresh_v:.3f} "
                     f"({100 * drop:.1f}% drop > "
-                    f"{100 * threshold:.0f}%)")
+                    f"{100 * args.threshold:.0f}%)")
             else:
                 # Per-row delta on success too, so CI logs show
                 # exactly what the gate compared and by how much
