@@ -6,15 +6,14 @@
  * PackedLinear forward vs the reference quantized path — with the
  * quantize/GEMM wall-time split — at several shapes and thread
  * counts (1/2/4/8 capped at the hardware width), plus a
- * per-block-size MC/KC/NC sweep, a whole-model InferenceSession
- * run, an autoregressive decode run (tokens/s and resident KV
- * bytes per token, packed M2XFP cache vs the fp32-cache oracle
- * baseline), single-query flash attends at growing context lengths
- * and one decode run per registered codec. Writes the
- * machine-readable BENCH_runtime.json — the repo's perf trajectory
- * point for the execution runtime, including which SIMD tier ran —
- * which tools/check_bench_regression.py compares against the
- * committed baseline in CI.
+ * per-block-size MC/KC/NC sweep, an autoregressive decode run
+ * (tokens/s and resident KV bytes per token, packed M2XFP cache vs
+ * the fp32-cache oracle baseline), single-query flash attends at
+ * growing context lengths and one decode run per registered codec.
+ * Writes the machine-readable BENCH_runtime.json — the repo's perf
+ * trajectory point for the execution runtime, including which SIMD
+ * tier ran — which tools/check_bench_regression.py compares against
+ * the committed baseline in CI.
  *
  * Numerical verification precedes every timing loop: the scalar
  * GEMM tier must be bit-exact against matmulNt over the unpacked
@@ -32,8 +31,10 @@
  * enabled: per-step latency lands in the `decode.step_ns` histogram
  * and the JSON gains `step_latency_p50/p95/p99_s` plus thread-pool
  * busy-time/utilization per mode (see docs/OBSERVABILITY.md). The
- * earlier sections run with telemetry in its default (off) state so
- * their rows keep measuring the uninstrumented hot path.
+ * earlier sections time with telemetry in its default (off) state so
+ * their rows keep measuring the uninstrumented hot path; the forward
+ * rows' quantize/GEMM split comes from a separate metrics-on pass
+ * over the `linear.quantize_ns` and `linear.gemm_ns` histograms.
  *
  * Usage: throughput_runtime [--quick] [--out PATH] [--trace PATH]
  *   --quick  one small shape, short timing windows (CI smoke)
@@ -55,7 +56,6 @@
 #include "model/config.hh"
 #include "model/transformer.hh"
 #include "runtime/decode_session.hh"
-#include "runtime/inference_session.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime/packed_gemm.hh"
 #include "runtime/packed_gemm_kernels.hh"
@@ -144,6 +144,31 @@ gflops(size_t m, size_t n, size_t k, double seconds)
 {
     return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
            static_cast<double>(k) / seconds * 1e-9;
+}
+
+/**
+ * Share of @p layer's forward time spent packing activations: the
+ * `linear.quantize_ns` sum over the `linear.quantize_ns` +
+ * `linear.gemm_ns` sums, from a pass of at least @p min_s with the
+ * metrics registry on (restored to its prior state afterwards).
+ */
+double
+quantizeShare(const PackedLinear &layer, const Matrix &x, Matrix &y,
+              double min_s)
+{
+    telemetry::MetricRegistry &reg = telemetry::MetricRegistry::global();
+    bool metrics_were_on = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    reg.reset();
+    calibrateReps([&] { layer.forwardInto(x, y); }, min_s);
+    const telemetry::Histogram *q = reg.findHistogram("linear.quantize_ns");
+    const telemetry::Histogram *g = reg.findHistogram("linear.gemm_ns");
+    m2x_assert(q && g && q->count() > 0 && q->count() == g->count(),
+               "linear.quantize_ns / linear.gemm_ns missing or "
+               "miscounted");
+    telemetry::setMetricsEnabled(metrics_were_on);
+    double qs = static_cast<double>(q->sum());
+    return qs / (qs + static_cast<double>(g->sum()));
 }
 
 struct Shape
@@ -567,20 +592,12 @@ main(int argc, char **argv)
             PackedLinear packed(w, &pool);
             requireMatch(packed.forward(x), ref_lin.forward(x),
                          packed.simdIsa(), 1e-6, "packed forward");
-            // Steady-state serving shape: reused workspace and
-            // output buffer, with the quantize/GEMM split
-            // accumulated across every timing rep.
-            PackedLinear::Workspace ws;
+            // Steady-state serving shape: the layer's reused
+            // workspace and one reused output buffer.
             Matrix y;
-            ForwardBreakdown bd;
-            double s = timeIt(
-                [&] { packed.forward(x, y, &ws, &bd); }, min_s);
-            double split = static_cast<double>(bd.quantizeNanos) +
-                           static_cast<double>(bd.gemmNanos);
-            double qfrac =
-                split > 0.0
-                    ? static_cast<double>(bd.quantizeNanos) / split
-                    : 0.0;
+            double s =
+                timeIt([&] { packed.forwardInto(x, y); }, min_s);
+            double qfrac = quantizeShare(packed, x, y, min_s);
             std::printf("forward %zux%zux%zu @%2u threads: "
                         "%.2fx reference (%.0f%% quantize)\n",
                         sh.m, sh.n, sh.k, counts[ci], ref_s / s,
@@ -597,100 +614,7 @@ main(int argc, char **argv)
         std::fprintf(out, "\n    ]}");
     }
 
-    // Whole-model serving: an InferenceSession over a zoo model.
-    model::ModelConfig mc = model::llama2_7b();
-    if (quick) {
-        mc.nLayers = 1;
-        mc.vocab = 128;
-    }
-    size_t seq_len = quick ? 16 : 48;
-    std::vector<std::vector<int>> batch(quick ? 1 : 2);
-    {
-        Rng rng(99);
-        for (auto &seq : batch) {
-            seq.resize(seq_len);
-            for (auto &t : seq)
-                t = static_cast<int>(rng.uniformInt(mc.vocab));
-        }
-    }
-
-    model::TinyTransformer ref_model(mc);
-    ref_model.rebuild(model::quantizedLinearFactory(
-        [] {
-            return std::make_shared<SgEmQuantizer>(
-                makeM2xfpWeightQuantizer());
-        },
-        [] {
-            return std::make_shared<ElemEmQuantizer>(
-                makeM2xfpActivationQuantizer());
-        }));
-    double ref_model_s = timeIt(
-        [&] {
-            for (const auto &seq : batch)
-                ref_model.forwardLogits(seq);
-        },
-        min_s);
-
-    // Honors M2X_THREADS (and the machine) like every default pool.
-    unsigned model_threads = ThreadPool::defaultThreads();
-    InferenceSession session(mc, {.threads = model_threads});
-    // Model-level check: vector-tier differences pass through
-    // layernorm/softmax, so the tolerance is a little looser than
-    // the raw GEMM contract.
-    requireMatch(session.forward(batch[0]),
-                 ref_model.forwardLogits(batch[0]),
-                 session.simdIsa(), 1e-5, "model logits");
-    double packed_model_s = timeIt(
-        [&] { session.forwardBatch(batch); }, min_s);
-    // Re-run exactly one batch on zeroed counters so the per-layer
-    // stats below describe a known workload (not the verify pass and
-    // timing reps above).
-    session.resetStats();
-    session.forwardBatch(batch);
-
-    std::printf("model %s  batch %zu x %zu tokens  @%u threads "
-                "(%s): %.2fx reference, weights %zu -> %zu bytes\n",
-                mc.name.c_str(), batch.size(), seq_len,
-                model_threads, simdIsaName(session.simdIsa()),
-                ref_model_s / packed_model_s,
-                session.denseWeightBytes(),
-                session.packedWeightBytes());
-
-    std::fprintf(
-        out,
-        "\n  ],\n"
-        "  \"model\": {\n"
-        "    \"name\": \"%s\", \"batch\": %zu, \"seq_len\": %zu,\n"
-        "    \"threads\": %u, \"isa\": \"%s\",\n"
-        "    \"ref_forward_s\": %.6e,\n"
-        "    \"packed_forward_s\": %.6e,\n"
-        "    \"speedup_vs_ref\": %.3f,\n"
-        "    \"packed_weight_bytes\": %zu,\n"
-        "    \"dense_weight_bytes\": %zu,\n"
-        "    \"layers\": [",
-        mc.name.c_str(), batch.size(), seq_len, model_threads,
-        simdIsaName(session.simdIsa()), ref_model_s, packed_model_s,
-        ref_model_s / packed_model_s, session.packedWeightBytes(),
-        session.denseWeightBytes());
-    const auto &stats = session.layerStats();
-    for (size_t i = 0; i < stats.size(); ++i) {
-        const auto &st = stats[i];
-        std::fprintf(out,
-                     "%s\n      {\"name\": \"%s\", \"isa\": \"%s\", "
-                     "\"calls\": %llu, "
-                     "\"seconds\": %.6e, "
-                     "\"quantize_s\": %.6e, \"gemm_s\": %.6e, "
-                     "\"gflops\": %.3f, "
-                     "\"packed_bytes\": %zu}",
-                     i ? "," : "", st->name.c_str(),
-                     st->isa.c_str(),
-                     static_cast<unsigned long long>(
-                         st->calls.load()),
-                     st->seconds(), st->quantizeSeconds(),
-                     st->gemmSeconds(), st->gflops(),
-                     st->packedBytes);
-    }
-    std::fprintf(out, "\n    ]\n  },\n  \"decode\": ");
+    std::fprintf(out, "\n  ],\n  \"decode\": ");
 
     // Autoregressive decode: prefill a batch of sequences, then
     // generate token by token against a persistent KV cache. The
@@ -738,8 +662,7 @@ main(int argc, char **argv)
         {
             DecodeSession s(vc, {.kvMode = KvCacheMode::Packed});
             model::TinyTransformer ref(vc);
-            ref.rebuild(packedLinearFactory(nullptr, nullptr,
-                                            s.simdIsa()));
+            ref.rebuild(packedLinearFactory(nullptr, s.simdIsa()));
             ref.setKvQuantizers(
                 [] {
                     return std::make_shared<ElemEmQuantizer>(

@@ -75,10 +75,9 @@ std::span<const PackedCodec> allPackedCodecs();
 /**
  * The process-wide default codec, resolved once on first call: the
  * M2X_FORMAT environment override if set (malformed values warn and
- * fall back), else ElemEm. Session-level constructors
- * (InferenceSession, DecodeSession, ServingEngine) default to this;
- * low-level APIs keep explicit ElemEm defaults so byte-exactness
- * contracts stay pinned.
+ * fall back), else ElemEm. The engine configs (DecodeConfig,
+ * ServingConfig) default to this; low-level APIs keep explicit
+ * ElemEm defaults so byte-exactness contracts stay pinned.
  */
 PackedCodec defaultPackedCodec();
 

@@ -1,21 +1,31 @@
 /**
  * @file
- * DecodeSession: autoregressive generation over a batch of
- * independent sequences with every linear layer in the packed M2XFP
- * domain and the attention K/V state resident in per-sequence
- * KvCaches.
+ * DecodeSession: the engine core. One session owns the model (every
+ * linear layer a PackedLinear in the packed M2XFP domain), the
+ * thread pool, and the KvPageArena that its sequences' K/V caches
+ * draw from, and it routes the model's attention stage to those
+ * caches.
  *
- * This is the serving-shaped counterpart of InferenceSession: where
- * forwardLogits() recomputes the whole causal prefix on every call
- * (O(T^2) attention per generated token), a DecodeSession runs the
- * transformer incrementally through TinyTransformer::forwardChunk —
- * prompt chunks during prefill, then one token per sequence per
- * decode() step — against caches that grow by one row per token.
- * A decode step over a batch stacks the S next-tokens into a single
- * [S, d] chunk, so every linear layer runs one batched packed GEMM
- * for the whole batch, while the attention stage fans out over the
- * sequences on the thread pool (each sequence's cache is
- * independent).
+ * Where forwardLogits() recomputes the whole causal prefix on every
+ * call (O(T^2) attention per generated token), a DecodeSession runs
+ * the transformer incrementally through
+ * TinyTransformer::forwardChunk — prompt chunks during prefill, then
+ * one token per sequence per decode step — against caches that grow
+ * by one row per token. A decode step stacks the S next tokens into
+ * a single [S, d] chunk, so every linear layer runs one batched
+ * packed GEMM for the whole batch, while the attention stage fans
+ * out over the sequences on the thread pool (each sequence's cache
+ * is independent).
+ *
+ * Two layers of API:
+ *  - the core, prefill(KvCache &, tokens) and decode(caches,
+ *    tokens), runs one forward over caches the caller holds (built
+ *    by newCache()), taking every position from its cache's length.
+ *    It emits no telemetry of its own; ServingEngine schedules its
+ *    requests over it;
+ *  - the fixed-batch API, addSequence() / prefill(seq, tokens) /
+ *    decode(next), keeps its sequences' caches inside the session
+ *    and adds the decode.* spans, histograms and gauges.
  *
  * With KvCacheMode::Packed the cached rows live in the three packed
  * M2XFP byte streams (~4.5 bits/element, encoded on append by the
@@ -26,17 +36,9 @@
  * forwardLogits() bit-exactly (the correctness oracle and bench
  * baseline).
  *
- * Since the paged refactor every sequence's cache draws from one
- * shared KvPageArena (elastic by default — a fixed batch run to
- * completion never stalls) and the session drives the same
- * CacheAttendBackend as the ServingEngine: a DecodeSession is the
- * continuous-batching engine's fixed-batch special case, with
- * prefill() = beginChunk routing and decode() = beginRows routing
- * over a row set that never changes.
- *
- * Like InferenceSession, one DecodeSession expects a single driving
- * thread; parallelism lives inside the packed kernels and the
- * per-sequence attention fan-out.
+ * One DecodeSession expects a single driving thread; parallelism
+ * lives inside the packed kernels and the per-sequence attention
+ * fan-out.
  */
 
 #ifndef M2X_RUNTIME_DECODE_SESSION_HH__
@@ -49,10 +51,8 @@
 
 #include "model/config.hh"
 #include "model/transformer.hh"
-#include "runtime/inference_session.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime/kv_page_arena.hh"
-#include "runtime/serving.hh"
 #include "runtime/simd.hh"
 #include "runtime/thread_pool.hh"
 
@@ -84,33 +84,56 @@ struct DecodeConfig
     PackedCodec codec = defaultPackedCodec();
 };
 
-/** A loaded model serving stepwise generation with a KV cache. */
-class DecodeSession
+/**
+ * A loaded model serving stepwise generation with a KV cache. The
+ * session is its own attention backend: prefill and decode point
+ * attend() at the caches of the forward they run.
+ */
+class DecodeSession : private model::AttentionBackend
 {
   public:
     explicit DecodeSession(const model::ModelConfig &model_cfg,
                            DecodeConfig cfg = {});
-    ~DecodeSession();
+    ~DecodeSession() override;
+
+    /** @{ The engine core. */
+
+    /** An empty cache on the session's arena (must not outlive it). */
+    KvCache newCache();
+
+    /**
+     * Run a chunk of @p tokens through the model against @p cache
+     * (from newCache()), appending their K/V rows; the chunk's
+     * positions continue from cache.length(). Returns the chunk's
+     * logits [tokens, vocab]. Chunking is invisible: the cache is
+     * chunk-boundary agnostic, and a single-token chunk is exactly a
+     * decode step for one sequence.
+     */
+    Matrix prefill(KvCache &cache, std::span<const int> tokens);
+
+    /**
+     * One batched step: @p tokens[r] is the next token of the
+     * sequence whose cache is @p caches[r], at position
+     * caches[r]->length(). Returns logits [rows, vocab]. Linear
+     * layers run batched over the stacked rows; attention fans out
+     * per row on the pool.
+     */
+    Matrix decode(std::span<KvCache *const> caches,
+                  std::span<const int> tokens);
+    /** @} */
+
+    /** @{ Fixed batch: sequences whose caches the session holds. */
 
     /** Register a new (empty) sequence; returns its id. */
     size_t addSequence();
 
-    /**
-     * Run a chunk of @p tokens of sequence @p seq through the model,
-     * appending their K/V rows to the sequence's cache. Returns the
-     * chunk's logits [tokens, vocab]. May be called repeatedly to
-     * prefill in chunks — the cache is chunk-boundary agnostic — and
-     * a single-token chunk is valid (it is exactly a decode step for
-     * one sequence).
-     */
+    /** prefill() of sequence @p seq's cache. */
     Matrix prefill(size_t seq, std::span<const int> tokens);
 
     /**
      * One decode step over the whole batch: next[s] is the next
      * token of sequence s (every registered sequence steps).
-     * Returns logits [batch, vocab], row s for sequence s. Linear
-     * layers run batched over the stacked rows; attention fans out
-     * per sequence on the pool.
+     * Returns logits [batch, vocab], row s for sequence s.
      */
     Matrix decode(std::span<const int> next);
 
@@ -119,14 +142,12 @@ class DecodeSession
     /** Tokens cached so far for @p seq. */
     size_t length(size_t seq) const;
 
-    /** A sequence's cache (bytes accounting, tests). */
-    const KvCache &cache(size_t seq) const;
-
     /** Resident K/V bytes across all sequences and layers. */
     size_t kvBytes() const;
 
     /** Resident K/V bytes per cached token (0 while empty). */
     double kvBytesPerToken() const;
+    /** @} */
 
     /** Wall time spent in the attention stage since construction. */
     double
@@ -136,32 +157,26 @@ class DecodeSession
     }
 
     KvCacheMode kvMode() const { return cfg_.kvMode; }
-    SimdIsa simdIsa() const { return isa_; }
+    SimdIsa simdIsa() const { return cfg_.isa; }
     PackedCodec codec() const { return cfg_.codec; }
 
-    /** The page arena every sequence's cache draws from. */
+    /** The page arena every cache draws from. */
     const KvPageArena &arena() const { return arena_; }
 
-    /** Per-linear-layer stats in deterministic layer order. */
-    const std::vector<std::shared_ptr<LayerStats>> &
-    layerStats() const
-    {
-        return stats_;
-    }
-
     const model::TinyTransformer &model() const { return model_; }
-    const model::ModelConfig &modelConfig() const
-    {
-        return model_.config();
-    }
 
   private:
-    struct Sequence
-    {
-        KvCache cache;
-    };
-
-    ThreadPool *pool() const;
+    /**
+     * Route one block's attention: a prefill appends the whole chunk
+     * to its one cache, then attends with the cache's internal
+     * parallelism (heads / query blocks over the pool); a decode
+     * step fans the rows out over the pool, each lane appending to
+     * and attending its own caches (nested attends run inline).
+     */
+    Matrix attend(size_t layer, const Matrix &q, const Matrix &k,
+                  const Matrix &v, std::span<const size_t> positions,
+                  unsigned n_heads, unsigned n_kv_heads,
+                  size_t window) override;
 
     /**
      * Refresh the decode.kv_* occupancy gauges in the telemetry
@@ -172,13 +187,20 @@ class DecodeSession
     DecodeConfig cfg_;
     std::unique_ptr<ThreadPool> ownedPool_; //!< when threads != 0
     model::TinyTransformer model_;
-    std::vector<std::shared_ptr<LayerStats>> stats_;
-    SimdIsa isa_;
     KvPageArena arena_;
-    std::vector<Sequence> seqs_;
+    std::vector<KvCache> seqs_;
     std::atomic<uint64_t> attendNanos_{0};
-    CacheAttendBackend backend_;
-    std::vector<KvCache *> rowCaches_; //!< decode() scratch
+
+    /** @{ Where attend() routes the forward in flight: one prefill
+     *  cache, or one cache per decode row. */
+    KvCache *chunk_ = nullptr;
+    std::span<KvCache *const> rowCaches_{};
+    /** @} */
+
+    /** @{ Per-call scratch (single driving thread). */
+    std::vector<size_t> positions_;
+    std::vector<KvCache *> seqCaches_;
+    /** @} */
 };
 
 } // namespace runtime

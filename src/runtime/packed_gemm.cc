@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <vector>
 
 #include "runtime/codec_traits.hh"
@@ -264,7 +265,9 @@ packedMatmulNtSlivers(const PackedM2xfpTensor &a,
     decodeABlock(decode_act, a, 0, m, k, padded_k, rowbuf_store.data(),
                  ablock_store.data());
 
-    tp.parallelFor(0, n_slivers, grain, [&](size_t s0, size_t s1) {
+    // Passed by std::ref: the closure outgrows std::function's small
+    // buffer, so wrapping it by value would allocate on every call.
+    auto run_slivers = [&](size_t s0, size_t s1) {
         thread_local std::vector<double> tile_store;
         thread_local std::vector<double> acc_store;
         tile_store.resize(std::min(kc, padded_k) * nr);
@@ -298,7 +301,8 @@ packedMatmulNtSlivers(const PackedM2xfpTensor &a,
                     c(ii, j0 + jj) =
                         static_cast<float>(acc[ii * nr + jj]);
         }
-    });
+    };
+    tp.parallelFor(0, n_slivers, grain, std::ref(run_slivers));
 }
 
 void

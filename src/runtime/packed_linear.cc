@@ -38,35 +38,41 @@ PackedLinear::PackedLinear(const Matrix &weight, ThreadPool *pool,
 }
 
 void
-PackedLinear::forward(const Matrix &x, Matrix &y, Workspace *ws,
-                      ForwardBreakdown *times) const
+PackedLinear::forwardInto(const Matrix &x, Matrix &y) const
 {
     m2x_assert(x.cols() == inFeatures_,
                "linear in_features mismatch: %zu vs %zu", x.cols(),
                inFeatures_);
-    Workspace local;
-    Workspace &w = ws ? *ws : local;
+    // Claim the layer's workspace; a concurrent forward on the same
+    // layer finds it taken and packs into per-call scratch rather
+    // than racing.
+    struct Claim
+    {
+        std::atomic<bool> &busy;
+        bool held;
+        ~Claim()
+        {
+            if (held)
+                busy.store(false, std::memory_order_release);
+        }
+    } claim{actBusy_, !actBusy_.exchange(true, std::memory_order_acquire)};
+    PackedM2xfpTensor local;
+    PackedM2xfpTensor &act = claim.held ? act_ : local;
 
-    // One nowNanos pair per phase feeds every consumer — the trace
-    // span, the registry histogram, and the caller's accumulating
-    // ForwardBreakdown — so all three always agree. When telemetry
-    // is off and no breakdown was asked for, the clock is not read.
-    const bool timed = times || telemetry::traceEnabled() ||
-                       telemetry::metricsEnabled();
+    // One nowNanos pair per phase feeds both consumers — the trace
+    // span and the registry histogram — so they always agree. When
+    // telemetry is off the clock is not read.
+    const bool timed =
+        telemetry::traceEnabled() || telemetry::metricsEnabled();
 
     uint64_t t0 = timed ? telemetry::nowNanos() : 0;
-    PackedM2xfpTensor::packActivationsCodec(x, codec_, pool_, isa_,
-                                            w.packedAct);
+    PackedM2xfpTensor::packActivationsCodec(x, codec_, pool_, isa_, act);
     uint64_t t1 = timed ? telemetry::nowNanos() : 0;
     telemetry::traceComplete("linear.quantize", t0, t1);
-    packedMatmulNt(w.packedAct, weight_, y, pool_, isa_);
+    packedMatmulNt(act, weight_, y, pool_, isa_);
     uint64_t t2 = timed ? telemetry::nowNanos() : 0;
     telemetry::traceComplete("linear.gemm", t1, t2);
 
-    if (times) {
-        times->quantizeNanos += t1 - t0;
-        times->gemmNanos += t2 - t1;
-    }
     if (telemetry::metricsEnabled()) {
         if (auto *h = telemetry::cachedHistogram(
                 quantizeSlot, "linear.quantize_ns"))
@@ -84,8 +90,18 @@ Matrix
 PackedLinear::forward(const Matrix &x) const
 {
     Matrix y;
-    forward(x, y);
+    forwardInto(x, y);
     return y;
+}
+
+model::LinearFactory
+packedLinearFactory(ThreadPool *pool, SimdIsa isa, PackedCodec codec)
+{
+    return [pool, isa, codec](const Matrix &w, const std::string &,
+                              const Matrix *)
+               -> std::unique_ptr<LinearOp> {
+        return std::make_unique<PackedLinear>(w, pool, isa, codec);
+    };
 }
 
 } // namespace runtime

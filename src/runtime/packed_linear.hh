@@ -19,46 +19,28 @@
 #ifndef M2X_RUNTIME_PACKED_LINEAR_HH__
 #define M2X_RUNTIME_PACKED_LINEAR_HH__
 
-#include <cstdint>
+#include <atomic>
 
 #include "core/m2xfp_packed.hh"
 #include "gemm/gemm.hh"
+#include "model/transformer.hh"
 #include "runtime/packed_gemm.hh"
 
 namespace m2x {
 namespace runtime {
 
 /**
- * Wall time a forward pass spent in its two phases: online
- * activation packing (the fast-path encoder) and the packed GEMM.
- * Accumulating — one instance can integrate over many calls.
+ * y = x W^T with W resident in packed M2XFP form.
  *
- * This is a per-caller view over the same measurements the
- * telemetry layer exports process-wide: each phase is timed once
- * and the interval feeds the `linear.quantize`/`linear.gemm` trace
- * spans, the `linear.*_ns` registry histograms, and this struct —
- * see runtime/telemetry.hh and docs/OBSERVABILITY.md.
+ * Forward calls are safe from any number of threads. Each layer
+ * keeps one packed-activation workspace that a warm forwardInto()
+ * reuses, so the steady-state forward allocates nothing; a
+ * concurrent forward that finds it claimed packs into per-call
+ * scratch instead — correct, just not allocation-free.
  */
-struct ForwardBreakdown
-{
-    uint64_t quantizeNanos = 0;
-    uint64_t gemmNanos = 0;
-};
-
-/** y = x W^T with W resident in packed M2XFP form. */
 class PackedLinear : public LinearOp
 {
   public:
-    /**
-     * Reusable forward scratch: the packed activation streams. A
-     * caller that keeps one Workspace per layer makes the encode
-     * side of the steady-state forward allocation-free.
-     */
-    struct Workspace
-    {
-        PackedM2xfpTensor packedAct;
-    };
-
     /**
      * Quantize and pack @p weight [out_features, in_features] at
      * construction (offline, like the paper's weight calibration).
@@ -78,22 +60,12 @@ class PackedLinear : public LinearOp
     /** Pack x as activations (online) and multiply in packed form. */
     Matrix forward(const Matrix &x) const override;
 
-    /** The into-style LinearOp entry point (no output allocation). */
-    void
-    forwardInto(const Matrix &x, Matrix &y) const override
-    {
-        forward(x, y, nullptr, nullptr);
-    }
-
     /**
      * Same, writing into the caller-provided output @p y (resized in
-     * place, storage reused). @p ws, when non-null, carries the
-     * packed-activation scratch across calls; @p times, when
-     * non-null, accumulates the quantize/GEMM wall-time split. Both
-     * phases run on the layer's thread pool and ISA tier.
+     * place, storage reused). Both phases run on the layer's thread
+     * pool and ISA tier.
      */
-    void forward(const Matrix &x, Matrix &y, Workspace *ws = nullptr,
-                 ForwardBreakdown *times = nullptr) const;
+    void forwardInto(const Matrix &x, Matrix &y) const override;
 
     size_t inFeatures() const override { return inFeatures_; }
     size_t outFeatures() const override { return outFeatures_; }
@@ -124,7 +96,22 @@ class PackedLinear : public LinearOp
     ThreadPool *pool_;
     SimdIsa isa_;
     PackedCodec codec_;
+    /** @{ The reused packed-activation workspace and its claim. */
+    mutable PackedM2xfpTensor act_;
+    mutable std::atomic<bool> actBusy_{false};
+    /** @} */
 };
+
+/**
+ * A LinearFactory producing PackedLinear layers, for wiring the
+ * packed runtime into zoo-style evaluation code. @p pool null uses
+ * the global pool; @p isa pins the kernel tier (defaults to the
+ * process-wide dispatch decision).
+ */
+model::LinearFactory
+packedLinearFactory(ThreadPool *pool = nullptr,
+                    SimdIsa isa = activeSimdIsa(),
+                    PackedCodec codec = PackedCodec::ElemEm);
 
 } // namespace runtime
 } // namespace m2x

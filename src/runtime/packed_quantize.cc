@@ -1,6 +1,7 @@
 #include "runtime/packed_quantize.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/m2xfp.hh"
 #include "util/bits.hh"
@@ -108,9 +109,10 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
         encode(0, rows);
         return;
     }
+    // By std::ref: the closure outgrows std::function's small buffer.
     ThreadPool &tp = pool ? *pool : ThreadPool::global();
     tp.parallelFor(0, rows, detail::packedQuantizeGrain(rows, tp.size()),
-                   encode);
+                   std::ref(encode));
 }
 
 PackedM2xfpTensor

@@ -53,82 +53,15 @@ requestStateName(RequestState s)
     return "?";
 }
 
-Matrix
-CacheAttendBackend::attend(size_t layer, const Matrix &q,
-                           const Matrix &k, const Matrix &v,
-                           std::span<const size_t> positions,
-                           unsigned n_heads, unsigned n_kv_heads,
-                           size_t window)
-{
-    telemetry::TraceSpan span("decode.attend");
-    if (span.active()) {
-        span.arg("layer", layer);
-        span.arg("rows", q.rows());
-        span.arg("mode", chunk_ ? "prefill" : "step");
-    }
-    uint64_t t0 = telemetry::nowNanos();
-    size_t d = q.cols();     // n_heads * headDim
-    size_t d_kv = k.cols();  // n_kv_heads * headDim (GQA: <= d)
-    Matrix ctx(q.rows(), d);
-    if (chunk_) {
-        chunk_->append(layer, k.data(), v.data(), k.rows(), pool_);
-        chunk_->attend(layer, q.data(), q.rows(), positions[0],
-                       n_heads, ctx.data(), pool_, n_kv_heads,
-                       window);
-        // Sliding window: pages every query's window has moved past
-        // can never be attended again. Release them once the last
-        // layer is done with this chunk (earlier layers only ever
-        // see the same or later positions).
-        if (window != 0 && layer + 1 == chunk_->layers()) {
-            size_t end = positions[0] + q.rows();
-            chunk_->releaseBefore(end > window ? end - window : 0);
-        }
-    } else {
-        m2x_assert(rowCaches_.size() == q.rows(),
-                   "CacheAttendBackend: %zu row caches for %zu rows",
-                   rowCaches_.size(), q.rows());
-        ThreadPool &tp = pool_ ? *pool_ : ThreadPool::global();
-        tp.parallelFor(0, q.rows(), 1, [&](size_t s0, size_t s1) {
-            for (size_t s = s0; s < s1; ++s) {
-                // Per-sequence span: in step mode each lane attends
-                // its own cache, so the trace shows the per-sequence
-                // cost on its lane's track.
-                telemetry::TraceSpan seq_span("decode.attend.seq");
-                if (seq_span.active()) {
-                    seq_span.arg("seq", s);
-                    seq_span.arg("layer", layer);
-                    seq_span.arg("pos", positions[s]);
-                }
-                KvCache &c = *rowCaches_[s];
-                c.append(layer, k.data() + s * d_kv,
-                         v.data() + s * d_kv, 1);
-                c.attend(layer, q.data() + s * d, 1, positions[s],
-                         n_heads, ctx.data() + s * d, pool_,
-                         n_kv_heads, window);
-                if (window != 0 && layer + 1 == c.layers()) {
-                    size_t end = positions[s] + 1;
-                    c.releaseBefore(end > window ? end - window
-                                                 : 0);
-                }
-            }
-        });
-    }
-    if (attendNanos_)
-        attendNanos_->fetch_add(telemetry::nowNanos() - t0,
-                                std::memory_order_relaxed);
-    return ctx;
-}
-
 ServingEngine::ServingEngine(const model::ModelConfig &model_cfg,
                              ServingConfig cfg)
     : cfg_(cfg),
-      ownedPool_(cfg.threads
-                     ? std::make_unique<ThreadPool>(cfg.threads)
-                     : nullptr),
-      model_(model_cfg), isa_(cfg.isa),
-      arena_(model_cfg.kvDim(), cfg.kvMode, cfg.isa,
-             KvArenaConfig{cfg.pageRows, cfg.arenaPages, cfg.codec}),
-      backend_(ownedPool_.get(), &attendNanos_)
+      session_(model_cfg, DecodeConfig{.threads = cfg.threads,
+                                       .isa = cfg.isa,
+                                       .kvMode = cfg.kvMode,
+                                       .pageRows = cfg.pageRows,
+                                       .arenaPages = cfg.arenaPages,
+                                       .codec = cfg.codec})
 {
     m2x_assert(cfg.arenaPages > 0,
                "ServingEngine needs a fixed arena (arenaPages > 0)");
@@ -136,8 +69,6 @@ ServingEngine::ServingEngine(const model::ModelConfig &model_cfg,
     m2x_assert(cfg.admitFreeFraction >= 0.0 &&
                cfg.admitFreeFraction < 1.0,
                "admitFreeFraction must be in [0, 1)");
-    model_.rebuild(
-        packedLinearFactory(ownedPool_.get(), &stats_, isa_, cfg.codec));
 }
 
 ServingEngine::~ServingEngine() = default;
@@ -195,20 +126,15 @@ ServingEngine::activate(size_t id)
     std::vector<int> hist(r.prompt);
     if (resumed)
         hist.insert(hist.end(), r.out.begin(), r.out.end() - 1);
-    std::vector<size_t> positions(hist.size());
-    for (size_t t = 0; t < hist.size(); ++t)
-        positions[t] = t;
 
-    r.cache = std::make_unique<KvCache>(arena_,
-                                        model_.config().nLayers);
-    backend_.beginChunk(*r.cache);
+    r.cache = std::make_unique<KvCache>(session_.newCache());
     telemetry::TraceSpan span("serving.prefill");
     if (span.active()) {
         span.arg("request", id);
         span.arg("tokens", hist.size());
         span.arg("resumed", resumed ? 1 : 0);
     }
-    Matrix logits = model_.forwardChunk(hist, positions, backend_);
+    Matrix logits = session_.prefill(*r.cache, hist);
     uint64_t now = telemetry::nowNanos();
     r.st.state = RequestState::Active;
     if (auto *c = telemetry::cachedCounter(admitSlot,
@@ -243,7 +169,7 @@ ServingEngine::activate(size_t id)
 void
 ServingEngine::admit()
 {
-    unsigned layers = model_.config().nLayers;
+    unsigned layers = session_.model().config().nLayers;
     size_t reserve = static_cast<size_t>(
         cfg_.admitFreeFraction *
         static_cast<double>(cfg_.arenaPages));
@@ -264,13 +190,13 @@ ServingEngine::admit()
         size_t needed =
             2 * layers *
             KvPageArena::pagesForRows(hist + 1, cfg_.pageRows);
-        if (arena_.freePages() < needed + reserve) {
-            if (active_.empty() && arena_.livePages() == 0)
+        if (arena().freePages() < needed + reserve) {
+            if (active_.empty() && arena().livePages() == 0)
                 m2x_fatal(
                     "serving: request %zu needs %zu pages (+%zu "
                     "watermark) but the arena holds only %zu — "
                     "enlarge arenaPages or shrink the request",
-                    id, needed, reserve, arena_.capacityPages());
+                    id, needed, reserve, arena().capacityPages());
             break; // admission stall until retirements free pages
         }
         if (from_preempted)
@@ -291,7 +217,7 @@ ServingEngine::ensureStepCapacity()
         return worst;
     };
     size_t worst = step_pages();
-    while (arena_.freePages() < worst && active_.size() > 1) {
+    while (arena().freePages() < worst && active_.size() > 1) {
         // FCFS with preemption: evict the youngest active sequence;
         // its pages return to the free list and its token history
         // stays behind for a byte-exact re-prefill later.
@@ -311,10 +237,10 @@ ServingEngine::ensureStepCapacity()
             c->add(1);
         worst = step_pages();
     }
-    m2x_assert(arena_.freePages() >= worst,
+    m2x_assert(arena().freePages() >= worst,
                "serving: one sequence's step needs %zu pages but "
                "only %zu are free — enlarge arenaPages", worst,
-               arena_.freePages());
+               arena().freePages());
 }
 
 void
@@ -322,7 +248,7 @@ ServingEngine::updateGauges()
 {
     if (auto *g = telemetry::cachedGauge(occupancySlot,
                                          "serving.occupancy"))
-        g->set(arena_.occupancy());
+        g->set(arena().occupancy());
     if (auto *g = telemetry::cachedGauge(activeSlot,
                                          "serving.active"))
         g->set(static_cast<double>(active_.size()));
@@ -331,10 +257,10 @@ ServingEngine::updateGauges()
         g->set(static_cast<double>(waitingCount()));
     if (auto *g = telemetry::cachedGauge(freePagesSlot,
                                          "serving.free_pages"))
-        g->set(static_cast<double>(arena_.freePages()));
+        g->set(static_cast<double>(arena().freePages()));
     if (auto *g = telemetry::cachedGauge(
             highWaterSlot, "serving.high_water_pages"))
-        g->set(static_cast<double>(arena_.highWaterPages()));
+        g->set(static_cast<double>(arena().highWaterPages()));
 }
 
 bool
@@ -357,18 +283,14 @@ ServingEngine::step()
     }
 
     stepTokens_.clear();
-    stepPositions_.clear();
     rowCaches_.clear();
     for (size_t id : active_) {
         Request &r = reqs_[id];
         stepTokens_.push_back(r.out.back());
-        stepPositions_.push_back(r.cache->length());
         rowCaches_.push_back(r.cache.get());
     }
-    backend_.beginRows(rowCaches_);
     uint64_t t0 = telemetry::nowNanos();
-    Matrix logits =
-        model_.forwardChunk(stepTokens_, stepPositions_, backend_);
+    Matrix logits = session_.decode(rowCaches_, stepTokens_);
     uint64_t now = telemetry::nowNanos();
 
     auto *token_h =
@@ -397,7 +319,7 @@ ServingEngine::step()
     active_.resize(w);
 
     ++steps_;
-    double occ = arena_.occupancy();
+    double occ = arena().occupancy();
     occPeak_ = std::max(occPeak_, occ);
     occSum_ += occ;
     if (auto *h = telemetry::cachedHistogram(stepSlot,

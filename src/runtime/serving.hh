@@ -2,9 +2,13 @@
  * @file
  * Continuous-batching serving engine over the paged packed KV cache.
  *
- * Where DecodeSession runs a fixed batch to completion, the
- * ServingEngine admits and retires sequences mid-flight over one
- * shared fixed-capacity KvPageArena — the shape the paper's 4.5
+ * The ServingEngine is a scheduler over one DecodeSession (the
+ * engine core: model, thread pool, and a fixed-capacity KvPageArena
+ * built from the ServingConfig). Where the session's fixed-batch API
+ * runs one batch to completion, the engine admits and retires
+ * sequences mid-flight, holding each active request's KvCache and
+ * driving the session's prefill(cache, tokens) and decode(caches,
+ * tokens) calls. The shared arena is the shape the paper's 4.5
  * bits/element KV state is for: compressed pages are what let many
  * concurrent sequences fit one arena byte budget (~7.1x the
  * sequences dense fp32 KV could hold).
@@ -41,7 +45,7 @@
  * counters, serving.occupancy / serving.active / serving.queued /
  * serving.free_pages gauges.
  *
- * Like the sessions, one engine expects a single driving thread;
+ * Like DecodeSession, one engine expects a single driving thread;
  * parallelism lives inside the packed kernels and the per-sequence
  * attention fan-out.
  */
@@ -49,84 +53,20 @@
 #ifndef M2X_RUNTIME_SERVING_HH__
 #define M2X_RUNTIME_SERVING_HH__
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "model/config.hh"
-#include "model/transformer.hh"
-#include "runtime/inference_session.hh"
+#include "runtime/decode_session.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime/kv_page_arena.hh"
 #include "runtime/simd.hh"
-#include "runtime/thread_pool.hh"
 
 namespace m2x {
 namespace runtime {
-
-/**
- * The AttentionBackend gluing TinyTransformer::forwardChunk to a set
- * of paged KvCaches. Two routing modes, reconfigured per forward
- * call by the single driving thread:
- *  - chunk: every row of the chunk belongs to ONE cache (a prefill)
- *    — append the whole chunk, then attend with the cache's internal
- *    parallelism (heads / query blocks over the pool);
- *  - rows: chunk row r belongs to rowCaches[r] (a ragged decode
- *    step) — fan the rows out over the pool, each lane appending +
- *    attending its own caches (nested attends run inline).
- *
- * DecodeSession and ServingEngine both drive this backend — the
- * fixed-batch session is literally the special case where the row
- * set never changes.
- */
-class CacheAttendBackend : public model::AttentionBackend
-{
-  public:
-    /**
-     * @param pool lane source (null = the global pool)
-     * @param attend_nanos accumulator for wall time spent in
-     *        attend() (nullable)
-     */
-    CacheAttendBackend(ThreadPool *pool,
-                       std::atomic<uint64_t> *attend_nanos)
-        : pool_(pool), attendNanos_(attend_nanos)
-    {}
-
-    /** Route the next forward as a one-sequence prefill chunk. */
-    void
-    beginChunk(KvCache &cache)
-    {
-        chunk_ = &cache;
-        rowCaches_ = {};
-    }
-
-    /**
-     * Route the next forward as a ragged step: row r of the chunk
-     * advances @p row_caches[r]. The span must stay valid through
-     * the forwardChunk call.
-     */
-    void
-    beginRows(std::span<KvCache *const> row_caches)
-    {
-        chunk_ = nullptr;
-        rowCaches_ = row_caches;
-    }
-
-    Matrix attend(size_t layer, const Matrix &q, const Matrix &k,
-                  const Matrix &v, std::span<const size_t> positions,
-                  unsigned n_heads, unsigned n_kv_heads,
-                  size_t window) override;
-
-  private:
-    ThreadPool *pool_;
-    std::atomic<uint64_t> *attendNanos_;
-    KvCache *chunk_ = nullptr;
-    std::span<KvCache *const> rowCaches_{};
-};
 
 /**
  * Streamed-token callback: invoked once per generated token at
@@ -250,7 +190,7 @@ class ServingEngine
     }
     size_t finishedCount() const { return finished_; }
     size_t preemptionCount() const { return preemptions_; }
-    const KvPageArena &arena() const { return arena_; }
+    const KvPageArena &arena() const { return session_.arena(); }
     /** @} */
 
     /** @{
@@ -275,17 +215,7 @@ class ServingEngine
     size_t stepCount() const { return steps_; }
     /** @} */
 
-    /** Wall time spent in the attention stage since construction. */
-    double
-    attendSeconds() const
-    {
-        return 1e-9 * static_cast<double>(attendNanos_.load());
-    }
-
-    KvCacheMode kvMode() const { return cfg_.kvMode; }
-    SimdIsa simdIsa() const { return isa_; }
-    PackedCodec codec() const { return cfg_.codec; }
-    const model::TinyTransformer &model() const { return model_; }
+    PackedCodec codec() const { return session_.codec(); }
 
   private:
     struct Request
@@ -298,8 +228,6 @@ class ServingEngine
         uint64_t lastEmitNs = 0;
     };
 
-    ThreadPool *pool() const { return ownedPool_.get(); }
-
     /** Admit/resume waiting requests while they fit. */
     void admit();
     /** Activate one request: build its cache, prefill its history. */
@@ -310,12 +238,9 @@ class ServingEngine
     void updateGauges();
 
     ServingConfig cfg_;
-    std::unique_ptr<ThreadPool> ownedPool_; //!< when threads != 0
-    model::TinyTransformer model_;
-    std::vector<std::shared_ptr<LayerStats>> stats_;
-    SimdIsa isa_;
-    KvPageArena arena_;
-    CacheAttendBackend backend_;
+    /** Model, pool and arena; declared before reqs_ so every cache
+     *  is destroyed before the arena it holds pages in. */
+    DecodeSession session_;
 
     std::vector<Request> reqs_;
     std::deque<size_t> queued_;    //!< fresh, FCFS
@@ -330,12 +255,10 @@ class ServingEngine
     double occPeak_ = 0.0;
     double occSum_ = 0.0;
     size_t steps_ = 0;
-    std::atomic<uint64_t> attendNanos_{0};
 
     /** Per-step scratch (single driving thread). */
     std::vector<KvCache *> rowCaches_;
     std::vector<int> stepTokens_;
-    std::vector<size_t> stepPositions_;
 };
 
 } // namespace runtime

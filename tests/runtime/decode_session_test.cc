@@ -7,7 +7,9 @@
  * tolerance with the packed cache against a reference that
  * quantizes K/V through the functional §6.4 path. Covers ragged
  * batches, cache growth across prefill-chunk boundaries, and
- * single-token prefill.
+ * single-token prefill. At model level the packed linears match the
+ * functional M2XFP pipeline: bit-exactly on the scalar tier, within
+ * tolerance on vector tiers.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "core/m2xfp.hh"
 #include "runtime/decode_session.hh"
+#include "runtime/packed_linear.hh"
 #include "runtime_test_util.hh"
 #include "util/rng.hh"
 
@@ -79,7 +82,7 @@ model::TinyTransformer
 kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
 {
     model::TinyTransformer ref(cfg);
-    ref.rebuild(packedLinearFactory(nullptr, nullptr, isa));
+    ref.rebuild(packedLinearFactory(nullptr, isa));
     ref.setKvQuantizers(
         [] {
             return std::make_shared<ElemEmQuantizer>(
@@ -106,6 +109,44 @@ TEST(DecodeSession, Fp32CacheMatchesOneShotExactly)
         // included.
         Matrix want = s.model().forwardLogits(toks);
         test::expectMatricesBitExact(got, want);
+    }
+}
+
+TEST(DecodeSession, MatchesFunctionalQuantizedTransformer)
+{
+    model::ModelConfig cfg = tinyConfig();
+
+    model::TinyTransformer ref(cfg);
+    ref.rebuild(model::quantizedLinearFactory(
+        [] {
+            return std::make_shared<SgEmQuantizer>(
+                makeM2xfpWeightQuantizer());
+        },
+        [] {
+            return std::make_shared<ElemEmQuantizer>(
+                makeM2xfpActivationQuantizer());
+        }));
+
+    std::vector<int> toks = randomTokens(12, cfg.vocab, 1);
+    Matrix want = ref.forwardLogits(toks);
+    for (SimdIsa isa : supportedSimdIsas()) {
+        SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
+        // The oracle above is the paper-pair pipeline, so the codec
+        // must stay pinned regardless of any M2X_FORMAT override
+        // (cross-format coverage lives in cross_format_parity_test).
+        // The fp32 cache makes the prefill the one-shot forward.
+        DecodeSession s(cfg, {.isa = isa,
+                              .kvMode = KvCacheMode::Fp32,
+                              .codec = PackedCodec::ElemEm});
+        EXPECT_EQ(s.simdIsa(), isa);
+        // Model-level tolerance: tiny linear-output differences pass
+        // through layernorm/softmax, so the vector-tier bound is a
+        // little looser than the raw GEMM contract.
+        Matrix got = s.prefill(s.addSequence(), toks);
+        if (isa == SimdIsa::Scalar)
+            test::expectMatricesBitExact(got, want);
+        else
+            test::expectMatricesClose(got, want, 1e-5);
     }
 }
 

@@ -22,6 +22,7 @@
 #include "runtime/decode_session.hh"
 #include "runtime/kv_attend_kernels.hh"
 #include "runtime/kv_cache.hh"
+#include "runtime/packed_linear.hh"
 #include "runtime_test_util.hh"
 #include "util/rng.hh"
 
@@ -58,7 +59,7 @@ model::TinyTransformer
 kvQuantizedReference(const model::ModelConfig &cfg, SimdIsa isa)
 {
     model::TinyTransformer ref(cfg);
-    ref.rebuild(packedLinearFactory(nullptr, nullptr, isa));
+    ref.rebuild(packedLinearFactory(nullptr, isa));
     ref.setKvQuantizers(
         [] {
             return std::make_shared<ElemEmQuantizer>(

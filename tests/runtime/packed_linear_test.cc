@@ -3,18 +3,83 @@
  * PackedLinear must be a drop-in for QuantizedLinear with the
  * paper's M2XFP quantizer pair, while keeping its weight resident in
  * packed form (~4.5 bits/element): bit-exact on the scalar kernel
- * tier, within the SIMD tolerance contract on vector tiers.
+ * tier, within the SIMD tolerance contract on vector tiers. Its
+ * reused activation workspace must make a warm forwardInto()
+ * allocation-free and stay correct under concurrent forwards.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <thread>
 
 #include "core/m2xfp.hh"
 #include "gemm/gemm.hh"
+#include "model/transformer.hh"
 #include "runtime/packed_linear.hh"
 #include "runtime_test_util.hh"
 #include "util/rng.hh"
+
+namespace {
+
+/** operator new calls on every thread, counted by the replacements
+ *  below. */
+std::atomic<size_t> allocCount{0};
+
+void *
+countedAlloc(std::size_t n, std::size_t align)
+{
+    allocCount.fetch_add(1, std::memory_order_relaxed);
+    n = n ? n : 1;
+    void *p = align <= alignof(std::max_align_t)
+                  ? std::malloc(n)
+                  : std::aligned_alloc(align,
+                                       (n + align - 1) / align * align);
+    if (!p)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // anonymous namespace
+
+// Replacing every throwing form (the nothrow forms call these) and
+// every delete keeps new/delete on one malloc/free pair, which the
+// sanitizers' allocation-mismatch checks require.
+void *operator new(std::size_t n) { return countedAlloc(n, 0); }
+void *operator new[](std::size_t n) { return countedAlloc(n, 0); }
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace m2x {
 namespace runtime {
@@ -93,20 +158,120 @@ TEST(PackedLinear, ForwardIntoMatchesReturningOverload)
     for (SimdIsa isa : supportedSimdIsas()) {
         SCOPED_TRACE(std::string("isa=") + simdIsaName(isa));
         PackedLinear packed(w, nullptr, isa);
-        PackedLinear::Workspace ws;
-        ForwardBreakdown bd;
         Matrix y;
-        // Varying row counts through one reused workspace/output:
-        // stale state from a previous (larger) call must never leak.
+        // Varying row counts through the layer's reused workspace
+        // and one reused output: stale state from a previous
+        // (larger) call must never leak. The reference is a layer
+        // whose workspace has seen no other shape.
         for (size_t rows : {7u, 16u, 3u, 16u}) {
             Matrix x = randomMatrix(rows, 100, 20 + rows, 4.0);
-            packed.forward(x, y, &ws, &bd);
-            expectMatricesBitExact(y, packed.forward(x));
+            packed.forwardInto(x, y);
+            PackedLinear fresh(w, nullptr, isa);
+            expectMatricesBitExact(y, fresh.forward(x));
         }
-        // The breakdown integrates both phases of every call.
-        EXPECT_GT(bd.quantizeNanos, 0u);
-        EXPECT_GT(bd.gemmNanos, 0u);
     }
+}
+
+TEST(PackedLinear, ConcurrentForwardsStayCorrect)
+{
+    // The workspace is claimed by one forward at a time; a
+    // concurrent forward on the same layer must fall back to
+    // per-call scratch and still produce identical results (packing
+    // is byte-exact and the GEMM is per-element deterministic on
+    // every tier, whatever the interleaving).
+    Matrix w = randomMatrix(48, 96, 70, 6.0);
+    Matrix x = randomMatrix(6, 96, 71, 4.0);
+    ThreadPool pool(1);
+    PackedLinear packed(w, &pool);
+    Matrix want = packed.forward(x);
+
+    std::vector<Matrix> got(4);
+    std::vector<int> mismatches(got.size(), 0);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&, i] {
+            for (int rep = 0; rep < 50; ++rep) {
+                packed.forwardInto(x, got[i]);
+                auto g = got[i].flat(), r = want.flat();
+                if (!std::equal(g.begin(), g.end(), r.begin(), r.end()))
+                    ++mismatches[i];
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(mismatches[i], 0) << "thread " << i;
+}
+
+TEST(PackedLinear, WarmForwardIntoAllocatesNothing)
+{
+    // Decode-step (4 rows) and prefill-block (64 rows) shapes of one
+    // 192x192 layer, inline and over four lanes: once warm, packing
+    // reuses the layer's workspace, the output keeps its storage and
+    // every lane's GEMM scratch is sized, so nothing allocates.
+    Matrix w = randomMatrix(192, 192, 80, 6.0);
+    for (unsigned lanes : {1u, 4u}) {
+        ThreadPool pool(lanes);
+        for (SimdIsa isa : supportedSimdIsas()) {
+            PackedLinear packed(w, &pool, isa);
+            for (size_t rows : {4u, 64u}) {
+                SCOPED_TRACE(std::to_string(lanes) + " lanes, isa=" +
+                             simdIsaName(isa) + ", " +
+                             std::to_string(rows) + " rows");
+                Matrix x = randomMatrix(rows, 192, 81 + rows, 4.0);
+                // Warm every lane's thread-local GEMM scratch at this
+                // shape: each lane runs one whole forward (nested
+                // parallelFor calls run inline), and the barrier
+                // keeps the items on distinct lanes.
+                std::atomic<unsigned> arrived{0};
+                pool.parallelFor(0, lanes, 1, [&](size_t, size_t) {
+                    arrived.fetch_add(1);
+                    while (arrived.load() < lanes)
+                        std::this_thread::yield();
+                    Matrix lane_y;
+                    packed.forwardInto(x, lane_y);
+                });
+                Matrix y;
+                for (int i = 0; i < 10; ++i)
+                    packed.forwardInto(x, y);
+                size_t before = allocCount.load();
+                for (int i = 0; i < 100; ++i)
+                    packed.forwardInto(x, y);
+                EXPECT_EQ(allocCount.load() - before, 0u);
+            }
+        }
+    }
+}
+
+TEST(PackedLinear, FactoryBuildsPackedLayers)
+{
+    // The factory plugs the packed runtime into a zoo model: each
+    // linear it builds is a PackedLinear on the requested tier and
+    // codec, and the rebuilt model runs a forward.
+    model::ModelConfig cfg;
+    cfg.name = "test-tiny";
+    cfg.dModel = 64;
+    cfg.nHeads = 2;
+    cfg.nLayers = 2;
+    cfg.dFf = 96;
+    cfg.vocab = 64;
+    cfg.seed = 7;
+    SimdIsa isa = supportedSimdIsas().front();
+    model::LinearFactory factory =
+        packedLinearFactory(nullptr, isa, PackedCodec::SgEm);
+    std::unique_ptr<LinearOp> op =
+        factory(randomMatrix(24, 64, 90, 6.0), "layer0.q", nullptr);
+    auto *packed = dynamic_cast<PackedLinear *>(op.get());
+    ASSERT_NE(packed, nullptr);
+    EXPECT_EQ(packed->simdIsa(), isa);
+    EXPECT_EQ(packed->codec(), PackedCodec::SgEm);
+
+    model::TinyTransformer t(cfg);
+    t.rebuild(packedLinearFactory());
+    std::vector<int> toks = {1, 5, 9, 2, 7, 3};
+    Matrix logits = t.forwardLogits(toks);
+    EXPECT_EQ(logits.rows(), 6u);
+    EXPECT_EQ(logits.cols(), cfg.vocab);
 }
 
 TEST(PackedLinear, ExplicitPoolProducesSameResult)

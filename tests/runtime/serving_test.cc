@@ -6,8 +6,9 @@
  * invisible to the tokens, so every request's output equals a
  * single-sequence DecodeSession run bit-for-bit (both KV modes, every
  * compiled ISA tier). Also covers: admission stalling at arena
- * exhaustion, forced preemption with recovered outputs, and free-list
- * reuse keeping the arena flat across request churn.
+ * exhaustion, forced preemption with recovered outputs, the
+ * streamed-token callback across preemption, and free-list reuse
+ * keeping the arena flat across request churn.
  */
 
 #include <gtest/gtest.h>
@@ -201,6 +202,50 @@ TEST(ServingEngine, PreemptionRoundTripKeepsOutputsExact)
     for (size_t i = 0; i < work.size(); ++i)
         preempted_total += eng.stats(i).preemptions;
     EXPECT_EQ(preempted_total, eng.preemptionCount());
+}
+
+TEST(ServingEngine, OnTokenStreamsEachTokenOnce)
+{
+    model::ModelConfig mc = tinyConfig();
+    // The preemption test's tight arena, with two requests that
+    // finish at admission (max_new_tokens == 1) in between.
+    std::vector<Workload> work = {
+        {randomTokens(6, mc.vocab, 21), 10},
+        {randomTokens(6, mc.vocab, 22), 10},
+        {randomTokens(4, mc.vocab, 24), 1},
+        {randomTokens(6, mc.vocab, 23), 10},
+        {randomTokens(3, mc.vocab, 25), 1},
+    };
+    ServingEngine eng(mc, {.kvMode = KvCacheMode::Packed,
+                           .pageRows = 4,
+                           .arenaPages = 28,
+                           .maxBatch = 4,
+                           .admitFreeFraction = 0.0});
+    std::vector<std::vector<int>> streamed(work.size());
+    std::vector<size_t> lasts(work.size(), 0);
+    std::vector<bool> last_on_final(work.size(), false);
+    eng.onToken([&](size_t id, int token, bool is_last) {
+        ASSERT_LT(id, work.size());
+        streamed[id].push_back(token);
+        if (is_last) {
+            ++lasts[id];
+            last_on_final[id] = streamed[id].size() == work[id].maxNew;
+        }
+    });
+    for (const Workload &w : work)
+        eng.submit(w.prompt, w.maxNew);
+    eng.runToCompletion();
+    EXPECT_TRUE(eng.idle());
+    // A resumed request re-prefills its history but streams only
+    // tokens it had not emitted before its eviction.
+    EXPECT_GT(eng.preemptionCount(), 0u);
+    for (size_t i = 0; i < work.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        EXPECT_EQ(streamed[i], eng.generated(i));
+        EXPECT_EQ(streamed[i].size(), work[i].maxNew);
+        EXPECT_EQ(lasts[i], 1u);
+        EXPECT_TRUE(last_on_final[i]);
+    }
 }
 
 TEST(ServingEngine, ChurnDoesNotGrowArena)

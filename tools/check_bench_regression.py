@@ -67,18 +67,10 @@ def ratio_rows(doc):
         }
         if summary:
             rows[("gemm", shape, ("summary",))] = summary
-    # Whole-model and decode sections are single rows. Their shape
-    # keys carry the full workload (quick mode shrinks the model and
-    # the token counts), so a quick run never matches — and never
-    # falsely gates against — a full-run baseline row.
-    model = doc.get("model", {})
-    if "speedup_vs_ref" in model:
-        rows[("model",
-              (model.get("name"), model.get("batch"),
-               model.get("seq_len")),
-              (model.get("isa"), model.get("threads")))] = {
-                  "speedup_vs_ref": model["speedup_vs_ref"]
-              }
+    # The decode section is a single row. Its shape key carries the
+    # full workload (quick mode shrinks the model and the token
+    # counts), so a quick run never matches — and never falsely gates
+    # against — a full-run baseline row.
     dec = doc.get("decode", {})
     if "packed_vs_fp32_tokens_per_s" in dec:
         rows[("decode",
